@@ -6,8 +6,7 @@
 // wear-driven degradation sweep.
 //
 // Artifacts are selected by registry name through -artifact (see -help
-// for the list); the historical one-flag-per-artifact spellings are kept
-// as deprecated aliases. Every requested artifact runs through one
+// for the list). Every requested artifact runs through one
 // shared experiment engine, so design points common to several figures
 // (most prominently the SRAM baselines) simulate exactly once. SIGINT
 // aborts the run cleanly and prints the partial engine statistics.
@@ -17,7 +16,7 @@
 //	figures -all
 //	figures -artifact fig1a,fig4
 //	figures -artifact degradation
-//	figures -coresweep -accesses 800000      (deprecated alias)
+//	figures -artifact coresweep -accesses 800000
 //	figures -artifact fig1a -contention      (write-contention ablation)
 //	figures -all -timeout 5m -parallelism 4
 //	figures -manifest run.jsonl -debug-addr localhost:0
@@ -48,24 +47,6 @@ func main() {
 		progress = flag.Duration("progress", 2*time.Second, "engine progress reporting interval on stderr (0 disables)")
 	)
 	artifactSel := cliutil.ArtifactFlag(nil, sweep.ArtifactNames())
-	// The pre-registry spellings, kept as deprecated aliases for -artifact.
-	aliases := map[string]*bool{}
-	for _, a := range []struct{ flagName, artifact, help string }{
-		{"table5", "table5", "Table V: workload LLC MPKI"},
-		{"table6", "table6", "Table VI: workload features"},
-		{"fig1a", "fig1a", "Figure 1a: fixed-capacity, single-threaded"},
-		{"fig1b", "fig1b", "Figure 1b: fixed-capacity, multi-threaded"},
-		{"fig2a", "fig2a", "Figure 2a: fixed-area, single-threaded"},
-		{"fig2b", "fig2b", "Figure 2b: fixed-area, multi-threaded"},
-		{"coresweep", "coresweep", "Section V-C core sweep"},
-		{"fig4", "fig4", "Figure 4 correlation heatmaps"},
-		{"lifetime", "lifetime", "endurance/lifetime study (Section VII future work)"},
-		{"predict", "predict", "train energy predictors on non-AI workloads, predict the AI domain"},
-		{"ablations", "ablations", "design-lever ablation table (workload 'is' on Kang_P)"},
-	} {
-		aliases[a.artifact] = flag.Bool(a.flagName, false,
-			fmt.Sprintf("%s (deprecated: use -artifact %s)", a.help, a.artifact))
-	}
 	std := cliutil.StandardFlags(nil, 600_000)
 	std.ManifestFlag(nil)
 	flag.Parse()
@@ -100,14 +81,7 @@ func main() {
 		stopProgress := cliutil.StartProgress(eng, *progress)
 		defer stopProgress()
 
-		aliasOn := map[string]bool{}
-		for name, on := range aliases {
-			if *on {
-				aliasOn[name] = true
-				fmt.Fprintf(os.Stderr, "figures: -%s is deprecated; use -artifact %s\n", name, name)
-			}
-		}
-		run, defaulted := selectArtifacts(artifactSel.Names(), aliasOn, *all, *measured)
+		run, defaulted := selectArtifacts(artifactSel.Names(), *all, *measured)
 		if defaulted {
 			fmt.Fprintln(os.Stderr, "figures: no artifact selected, defaulting to -artifact table5 (see -help)")
 		}
@@ -129,23 +103,17 @@ func main() {
 }
 
 // selectArtifacts resolves every selection surface — -artifact names,
-// the deprecated alias flags, -all and -measuredfeatures — into the
-// run list, deduplicated and in registry order. Naming an artifact
-// through both a deprecated alias and -artifact selects it exactly
+// -all and -measuredfeatures — into the run list, deduplicated and in
+// registry order. Naming an artifact more than once selects it exactly
 // once: selection is a set, and the registry iteration below emits each
 // member at most once regardless of how many flags asked for it.
 // defaulted reports that nothing was selected and table5 (the lightest
 // full-workload-grid artifact) was substituted, so bare invocations
 // still produce design points.
-func selectArtifacts(names []string, aliases map[string]bool, all, measured bool) (run []string, defaulted bool) {
+func selectArtifacts(names []string, all, measured bool) (run []string, defaulted bool) {
 	selected := map[string]bool{}
 	for _, name := range names {
 		selected[name] = true
-	}
-	for name, on := range aliases {
-		if on {
-			selected[name] = true
-		}
 	}
 	if all {
 		for _, a := range sweep.Artifacts() {

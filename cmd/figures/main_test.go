@@ -99,15 +99,11 @@ func TestArtifactAblations(t *testing.T) {
 	}
 }
 
-// TestSelectArtifactsExactlyOnce pins the alias-dedup contract: an
-// artifact named by both its deprecated alias flag and -artifact runs
-// exactly once, and the run list follows registry order.
+// TestSelectArtifactsExactlyOnce pins the dedup contract: an artifact
+// named twice (-artifact fig1a,table5 -artifact fig1a) runs exactly
+// once, and the run list follows registry order.
 func TestSelectArtifactsExactlyOnce(t *testing.T) {
-	run, defaulted := selectArtifacts(
-		[]string{"fig1a", "table5"},    // -artifact fig1a,table5
-		map[string]bool{"fig1a": true}, // -fig1a (deprecated alias, same artifact)
-		false, false,
-	)
+	run, defaulted := selectArtifacts([]string{"fig1a", "table5", "fig1a"}, false, false)
 	if defaulted {
 		t.Error("explicit selection reported as defaulted")
 	}
@@ -116,7 +112,7 @@ func TestSelectArtifactsExactlyOnce(t *testing.T) {
 		counts[name]++
 	}
 	if counts["fig1a"] != 1 {
-		t.Errorf("fig1a selected by alias AND -artifact appears %d times, want exactly 1 (run=%v)", counts["fig1a"], run)
+		t.Errorf("fig1a selected twice appears %d times, want exactly 1 (run=%v)", counts["fig1a"], run)
 	}
 	if counts["table5"] != 1 || len(run) != 2 {
 		t.Errorf("run = %v, want exactly [table5 fig1a] in registry order", run)
@@ -131,12 +127,12 @@ func TestSelectArtifactsExactlyOnce(t *testing.T) {
 // -all (minus the opt-in measured Figure 4), the measured swap, and the
 // table5 default.
 func TestSelectArtifactsSurfaces(t *testing.T) {
-	run, defaulted := selectArtifacts(nil, nil, false, false)
+	run, defaulted := selectArtifacts(nil, false, false)
 	if !defaulted || len(run) != 1 || run[0] != "table5" {
 		t.Errorf("empty selection: run=%v defaulted=%v, want [table5] true", run, defaulted)
 	}
 
-	run, _ = selectArtifacts(nil, nil, true, false)
+	run, _ = selectArtifacts(nil, true, false)
 	seen := map[string]bool{}
 	for _, name := range run {
 		if seen[name] {
@@ -151,7 +147,7 @@ func TestSelectArtifactsSurfaces(t *testing.T) {
 		t.Errorf("-all missing core artifacts: %v", run)
 	}
 
-	run, _ = selectArtifacts([]string{"fig4"}, nil, false, true)
+	run, _ = selectArtifacts([]string{"fig4"}, false, true)
 	if len(run) != 1 || run[0] != "fig4measured" {
 		t.Errorf("-measuredfeatures swap: run=%v, want [fig4measured]", run)
 	}
@@ -161,7 +157,7 @@ func TestSelectArtifactsSurfaces(t *testing.T) {
 // layer: driving the selection through renderArtifact, the doubly
 // selected artifact prints its output exactly once.
 func TestSelectedArtifactRendersOnce(t *testing.T) {
-	run, _ := selectArtifacts([]string{"table5"}, map[string]bool{"table5": true}, false, false)
+	run, _ := selectArtifacts([]string{"table5", "table5"}, false, false)
 	out := capture(t, func() error {
 		for _, name := range run {
 			if err := renderArtifact(context.Background(), name, smallCfg()); err != nil {

@@ -2,12 +2,12 @@ package nvmllc_test
 
 // Hot-loop micro-benchmarks behind BENCH_hotloop.json (see the README's
 // Performance section). BenchmarkHotLoop_{4,16,64}Cores isolate the
-// simulator's per-access path — the min-heap core scheduler, the
-// hierarchy walk and the allocation-free trace split — at the paper's
-// Section V-C core counts; BenchmarkTraceGen isolates the synthetic
-// workload generator. Run with -benchmem; cmd/benchreport re-measures
-// the same loops against the historical linear-scan scheduler and
-// writes the committed baseline.
+// simulator's per-access path — the streaming ring fed from a
+// materialized trace, the min-heap core scheduler and the hierarchy walk
+// — at the paper's Section V-C core counts; BenchmarkTraceGen isolates
+// the synthetic workload generator. Run with -benchmem; cmd/benchreport
+// re-measures the same loops with faults, sampling and generator input
+// and writes the committed baseline.
 
 import (
 	"context"
@@ -37,59 +37,14 @@ func hotLoopTrace(b *testing.B, cores int) *trace.Trace {
 	return tr
 }
 
-func benchHotLoop(b *testing.B, cores int) {
-	tr := hotLoopTrace(b, cores)
-	cfg := system.Gainestown(reference.SRAMBaseline()).WithCores(cores)
-	var scratch system.Scratch
-	b.ReportAllocs()
-	b.SetBytes(int64(len(tr.Accesses)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := system.RunWith(context.Background(), cfg, tr, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHotLoop_4Cores(b *testing.B)  { benchHotLoop(b, 4) }
-func BenchmarkHotLoop_16Cores(b *testing.B) { benchHotLoop(b, 16) }
-func BenchmarkHotLoop_64Cores(b *testing.B) { benchHotLoop(b, 64) }
-
-// BenchmarkHotLoop_Sampling is BenchmarkHotLoop_64Cores with epoch
-// sampling on: the per-access cost of the -timeline instrumentation
-// (one counter compare per retired batch plus an O(points) capture at
-// epoch boundaries). Compare against BenchmarkHotLoop_64Cores; the
-// committed budget is <5% (cmd/benchreport pins it in
-// BENCH_hotloop.json's sampling comparison).
-func BenchmarkHotLoop_Sampling(b *testing.B) {
-	const cores = 64
-	tr := hotLoopTrace(b, cores)
-	cfg := system.Gainestown(reference.SRAMBaseline()).WithCores(cores)
-	cfg.Timeline = &system.TimelineConfig{}
-	var scratch system.Scratch
-	b.ReportAllocs()
-	b.SetBytes(int64(len(tr.Accesses)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := system.RunWith(context.Background(), cfg, tr, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotLoop_StreamingTrace measures the ring pipeline fed from
-// an already-materialized trace — the apples-to-apples comparison
-// against BenchmarkHotLoop_64Cores, since both sides then time exactly
-// the same simulation work and the delta is the pipeline itself
-// (benchreport's "input" parity comparison).
-func BenchmarkHotLoop_StreamingTrace(b *testing.B) {
-	const cores = 64
-	tr := hotLoopTrace(b, cores)
+// benchHotLoop streams the hot-loop trace through the simulator on the
+// given machine, reusing one Scratch so the steady state is measured.
+func benchHotLoop(b *testing.B, cfg system.Config) {
+	tr := hotLoopTrace(b, cfg.Cores)
 	src, err := trace.NewTraceSource(tr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := system.Gainestown(reference.SRAMBaseline()).WithCores(cores)
 	var scratch system.Scratch
 	b.ReportAllocs()
 	b.SetBytes(int64(len(tr.Accesses)))
@@ -102,14 +57,35 @@ func BenchmarkHotLoop_StreamingTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkHotLoop_Streaming measures the chunked streaming pipeline at
-// the 64-core configuration where whole-trace materialization costs the
-// most memory: the generator produces chunk N+1 while the simulator
-// consumes chunk N, and per-iteration memory stays O(chunk) regardless
-// of trace length (the bytes/op here is the BENCH_hotloop.json
-// allocation-gate baseline; see TestStreamingAllocGate). Trace
-// synthesis sits inside the timed region, so on a single-CPU runner
-// this carries the full TraceGen cost on top of the pipeline.
+func sramMachine(cores int) system.Config {
+	return system.Gainestown(reference.SRAMBaseline()).WithCores(cores)
+}
+
+func BenchmarkHotLoop_4Cores(b *testing.B)  { benchHotLoop(b, sramMachine(4)) }
+func BenchmarkHotLoop_16Cores(b *testing.B) { benchHotLoop(b, sramMachine(16)) }
+func BenchmarkHotLoop_64Cores(b *testing.B) { benchHotLoop(b, sramMachine(64)) }
+
+// BenchmarkHotLoop_Sampling is BenchmarkHotLoop_64Cores with epoch
+// sampling on: the per-access cost of the -timeline instrumentation
+// (one counter compare per retired batch plus an O(points) capture at
+// epoch boundaries). Compare against BenchmarkHotLoop_64Cores; the
+// committed budget is <5% (cmd/benchreport pins it in
+// BENCH_hotloop.json's sampling comparison).
+func BenchmarkHotLoop_Sampling(b *testing.B) {
+	cfg := sramMachine(64)
+	cfg.Timeline = &system.TimelineConfig{}
+	benchHotLoop(b, cfg)
+}
+
+// BenchmarkHotLoop_Streaming measures the streaming pipeline fed straight
+// from the generator at the 64-core configuration, where a materialized
+// trace costs the most memory: the generator produces chunk N+1 while
+// the simulator consumes chunk N, and per-iteration memory stays
+// O(chunk) regardless of trace length (the bytes/op here is the
+// BENCH_hotloop.json allocation-gate baseline; see
+// TestStreamingAllocGate). Trace synthesis sits inside the timed region,
+// so on a single-CPU runner this carries the full TraceGen cost on top
+// of the pipeline.
 func BenchmarkHotLoop_Streaming(b *testing.B) {
 	const cores = 64
 	p, err := workload.ByName("ft")
@@ -120,7 +96,7 @@ func BenchmarkHotLoop_Streaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := system.Gainestown(reference.SRAMBaseline()).WithCores(cores)
+	cfg := sramMachine(cores)
 	var scratch system.Scratch
 	b.ReportAllocs()
 	b.SetBytes(int64(gen.Meta().Accesses))

@@ -12,9 +12,9 @@
 // compare per way with no metadata load), valid/dirty/RRPV bits packed
 // into a parallel meta []uint8 array, and LRU recency kept as monotonic
 // per-line stamps — a hit is one store instead of shuffling 16-byte line
-// structs. The pre-SoA slice-of-struct implementation is retained
-// (reference.go) behind Config{Layout: LayoutAoS} as the bit-identical
-// baseline for equivalence tests and layout benchmarks.
+// structs. The pre-SoA slice-of-struct implementation survives only as a
+// test oracle (reference_test.go) that the property tests replay against
+// this store.
 package cache
 
 import (
@@ -70,30 +70,6 @@ func (s *Stats) Add(o Stats) {
 	s.Fills += o.Fills
 }
 
-// Layout selects the tag-store memory layout.
-type Layout int
-
-const (
-	// LayoutSoA is the packed struct-of-arrays store (the default).
-	LayoutSoA Layout = iota
-	// LayoutAoS is the retained pre-SoA slice-of-struct reference
-	// implementation, kept for equivalence tests and the
-	// BENCH_hotloop.json old-vs-new layout comparison.
-	LayoutAoS
-)
-
-// String names the layout ("soa", "aos").
-func (l Layout) String() string {
-	switch l {
-	case LayoutSoA:
-		return "soa"
-	case LayoutAoS:
-		return "aos"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
 // meta bit layout: valid and dirty flags plus the 2-bit SRRIP RRPV.
 const (
 	metaValid     uint8 = 1 << 0
@@ -140,9 +116,6 @@ type Cache struct {
 	blockBits uint
 	policy    Policy
 	rngState  uint64 // Random policy victim-selection state
-	// ref, when non-nil, is the retained slice-of-struct implementation
-	// (Config.Layout == LayoutAoS); every operation delegates to it.
-	ref *refStore
 }
 
 // Config describes a cache level.
@@ -163,8 +136,6 @@ type Config struct {
 	// sequences; set it explicitly to pin a seed when seed-state
 	// comparisons must stay reproducible across differently-named caches.
 	VictimSeed uint64
-	// Layout selects the tag-store memory layout (default LayoutSoA).
-	Layout Layout
 }
 
 // Validate checks the configuration; New and the hybrid-LLC construction
@@ -181,9 +152,6 @@ func (cfg Config) Validate() error {
 	}
 	if !cfg.Policy.Valid() {
 		return fmt.Errorf("cache %s: unknown replacement policy %d", cfg.Name, int(cfg.Policy))
-	}
-	if cfg.Layout != LayoutSoA && cfg.Layout != LayoutAoS {
-		return fmt.Errorf("cache %s: unknown tag-store layout %d", cfg.Name, int(cfg.Layout))
 	}
 	setBytes := int64(cfg.BlockBytes) * int64(cfg.Ways)
 	if cfg.CapacityBytes <= 0 || cfg.CapacityBytes%setBytes != 0 {
@@ -236,8 +204,7 @@ func New(cfg Config) (*Cache, error) { return NewIn(nil, cfg) }
 
 // NewIn is New carving the tag-store arrays out of the arena, recycling
 // their storage across simulator constructions (a nil arena allocates
-// fresh). The reference LayoutAoS always allocates fresh, preserving the
-// historical allocation behavior it exists to represent.
+// fresh).
 func NewIn(a *Arena, cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -251,10 +218,6 @@ func NewIn(a *Arena, cfg Config) (*Cache, error) {
 		blockBits: uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
 		policy:    cfg.Policy,
 		rngState:  cfg.victimSeed(sets),
-	}
-	if cfg.Layout == LayoutAoS {
-		c.ref = newRefStore(sets, cfg.Ways, cfg.Policy, c.rngState)
-		return c, nil
 	}
 	lines := sets * cfg.Ways
 	c.tags = a.takeTags(lines)
@@ -283,18 +246,11 @@ func (c *Cache) ReplacementPolicy() Policy { return c.policy }
 
 // Stats returns the accumulated event counts.
 func (c *Cache) Stats() Stats {
-	if c.ref != nil {
-		return c.ref.stats
-	}
 	return c.stats
 }
 
 // ResetStats zeroes the counters without touching cache contents.
 func (c *Cache) ResetStats() {
-	if c.ref != nil {
-		c.ref.stats = Stats{}
-		return
-	}
 	c.stats = Stats{}
 }
 
@@ -332,9 +288,6 @@ func (c *Cache) findWay(base int, lineAddr uint64) int {
 // write-allocate). It returns whether the lookup hit and the eviction, if
 // any, caused by the allocation.
 func (c *Cache) Access(lineAddr uint64, isWrite bool) (hit bool, ev Eviction) {
-	if c.ref != nil {
-		return c.ref.Access(lineAddr, isWrite)
-	}
 	base := c.setBase(lineAddr)
 	if i := c.findWay(base, lineAddr); i >= 0 {
 		c.stats.Hits++
@@ -363,13 +316,8 @@ func (c *Cache) Geometry() (setMask uint64, ways int) { return c.setMask, c.ways
 
 // AccessAt is Access with the set base precomputed (BaseOf): the batch
 // pre-decode pass hoists the shift/mask geometry out of the per-access
-// hot loop and hands the base in as a lane. The reference AoS layout
-// ignores the base and recomputes, keeping the two layouts
-// bit-identical.
+// hot loop and hands the base in as a lane.
 func (c *Cache) AccessAt(base int32, lineAddr uint64, isWrite bool) (hit bool, ev Eviction) {
-	if c.ref != nil {
-		return c.ref.Access(lineAddr, isWrite)
-	}
 	b := int(base)
 	if i := c.findWay(b, lineAddr); i >= 0 {
 		c.stats.Hits++
@@ -387,9 +335,6 @@ func (c *Cache) AccessAt(base int32, lineAddr uint64, isWrite bool) (hit bool, e
 // state (and optionally dirtiness) and returns true; a miss changes
 // nothing. Statistics are counted like Access.
 func (c *Cache) Touch(lineAddr uint64, isWrite bool) bool {
-	if c.ref != nil {
-		return c.ref.Touch(lineAddr, isWrite)
-	}
 	base := c.setBase(lineAddr)
 	if i := c.findWay(base, lineAddr); i >= 0 {
 		c.stats.Hits++
@@ -405,18 +350,12 @@ func (c *Cache) Touch(lineAddr uint64, isWrite bool) bool {
 
 // Probe checks residency without updating LRU state or statistics.
 func (c *Cache) Probe(lineAddr uint64) bool {
-	if c.ref != nil {
-		return c.ref.Probe(lineAddr)
-	}
 	return c.findWay(c.setBase(lineAddr), lineAddr) >= 0
 }
 
 // Install inserts a line (e.g. a fill from below in a non-lookup path)
 // and returns any eviction. The line is installed clean unless dirty.
 func (c *Cache) Install(lineAddr uint64, dirty bool) Eviction {
-	if c.ref != nil {
-		return c.ref.Install(lineAddr, dirty)
-	}
 	base := c.setBase(lineAddr)
 	// If already present, just update dirtiness and recency.
 	if i := c.findWay(base, lineAddr); i >= 0 {
@@ -433,9 +372,6 @@ func (c *Cache) Install(lineAddr uint64, dirty bool) Eviction {
 // upper level). If the line is absent it is installed dirty
 // (write-allocate) and the displaced line is returned.
 func (c *Cache) WritebackTo(lineAddr uint64) (wasPresent bool, ev Eviction) {
-	if c.ref != nil {
-		return c.ref.WritebackTo(lineAddr)
-	}
 	base := c.setBase(lineAddr)
 	if i := c.findWay(base, lineAddr); i >= 0 {
 		c.meta[base+i] |= metaDirty
@@ -449,9 +385,6 @@ func (c *Cache) WritebackTo(lineAddr uint64) (wasPresent bool, ev Eviction) {
 // coherence downgrade: Modified -> Shared). It reports residency and
 // whether the line had been dirty.
 func (c *Cache) Clean(lineAddr uint64) (present, wasDirty bool) {
-	if c.ref != nil {
-		return c.ref.Clean(lineAddr)
-	}
 	base := c.setBase(lineAddr)
 	i := c.findWay(base, lineAddr)
 	if i < 0 {
@@ -464,9 +397,6 @@ func (c *Cache) Clean(lineAddr uint64) (present, wasDirty bool) {
 
 // Invalidate drops a line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	if c.ref != nil {
-		return c.ref.Invalidate(lineAddr)
-	}
 	base := c.setBase(lineAddr)
 	i := c.findWay(base, lineAddr)
 	if i < 0 {
@@ -528,10 +458,6 @@ func (c *Cache) SetOf(lineAddr uint64) int { return int(lineAddr & c.setMask) }
 // invalidated a resident line first if the set was full at its previous
 // capacity — the cache never holds more lines than a set's enabled ways.
 func (c *Cache) DisableWay(set int) {
-	if c.ref != nil {
-		c.ref.DisableWay(set)
-		return
-	}
 	if c.disabled == nil {
 		c.disabled = make([]uint8, c.sets)
 	}
@@ -542,9 +468,6 @@ func (c *Cache) DisableWay(set int) {
 
 // DisabledWays returns the number of condemned ways in a set.
 func (c *Cache) DisabledWays(set int) int {
-	if c.ref != nil {
-		return c.ref.disabledWays(set)
-	}
 	if c.disabled == nil {
 		return 0
 	}
@@ -557,9 +480,6 @@ func (c *Cache) EnabledWays(set int) int { return c.ways - c.DisabledWays(set) }
 // OccupiedLines counts currently valid lines (for tests and capacity
 // diagnostics).
 func (c *Cache) OccupiedLines() int {
-	if c.ref != nil {
-		return c.ref.occupiedLines()
-	}
 	n := 0
 	for _, m := range c.meta {
 		if m&metaValid != 0 {
@@ -571,9 +491,6 @@ func (c *Cache) OccupiedLines() int {
 
 // DirtyLines counts currently dirty lines.
 func (c *Cache) DirtyLines() int {
-	if c.ref != nil {
-		return c.ref.dirtyLines()
-	}
 	n := 0
 	for _, m := range c.meta {
 		if m&(metaValid|metaDirty) == metaValid|metaDirty {

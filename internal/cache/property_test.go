@@ -1,12 +1,13 @@
 package cache
 
 // Property test for the packed struct-of-arrays tag store: long random
-// operation streams are replayed through both layouts — the SoA Cache and
-// the retained slice-of-struct reference (LayoutAoS) — and every return
-// value, the running statistics and the final contents must match
-// exactly. This is the cache-level leg of the PR's equivalence discipline
-// (the system- and engine-level legs live in internal/system and
-// internal/engine).
+// operation streams are replayed through both the SoA Cache and the
+// retained slice-of-struct oracle (reference_test.go) — including way
+// condemnations, so fills and victim selection at reduced associativity
+// and dead-set refusals are covered — and every return value, the
+// running statistics and the final contents must match exactly. The
+// system- and engine-level behavior is pinned by the digests under
+// testdata/golden.
 
 import (
 	"fmt"
@@ -96,7 +97,7 @@ func TestSoAMatchesReferenceLayout(t *testing.T) {
 		{8, 3},   // non-power-of-two ways
 	}
 	const opsPerConfig = 20_000 // × 4 geometries × 3 policies = 240k ops
-	totalOps := 0
+	totalOps, condemned, deadSets := 0, 0, 0
 	for _, p := range []Policy{LRU, SRRIP, Random} {
 		for gi, g := range geometries {
 			cfg := Config{
@@ -110,21 +111,36 @@ func TestSoAMatchesReferenceLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Layout = LayoutAoS
-			aos, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if soa.ref != nil || aos.ref == nil {
-				t.Fatalf("layout selection broken: soa.ref=%v aos.ref=%v", soa.ref, aos.ref)
-			}
+			aos := newRefStore(g.sets, g.ways, p, cfg.victimSeed(g.sets))
 			rng := rand.New(rand.NewSource(int64(7*gi) + int64(p)*1331 + 99))
 			// Address pool ~2× capacity so sets fill, conflict and churn.
 			addrSpace := uint64(g.sets*g.ways) * 2
+			// Condemn about three quarters of all ways over the run, so
+			// sets spend most of it at reduced associativity and the
+			// small geometries lose whole sets.
+			condemnEvery := opsPerConfig * 4 / (3 * g.sets * g.ways)
 			for op := 0; op < opsPerConfig; op++ {
 				addr := rng.Uint64() % addrSpace
 				isWrite := rng.Intn(2) == 0
 				var got, want any
+				if rng.Intn(condemnEvery) == 0 {
+					// A condemned write, as the simulator applies it: the
+					// write lands, its line is invalidated and its way is
+					// disabled, so a set never holds more lines than it
+					// has enabled ways.
+					h1, e1 := soa.Access(addr, true)
+					h2, e2 := aos.Access(addr, true)
+					p1, d1 := soa.Invalidate(addr)
+					p2, d2 := aos.Invalidate(addr)
+					set := soa.SetOf(addr)
+					soa.DisableWay(set)
+					aos.DisableWay(set)
+					got = fmt.Sprint(h1, e1, p1, d1, soa.DisabledWays(set))
+					want = fmt.Sprint(h2, e2, p2, d2, aos.disabledWays(set))
+					if got != want {
+						t.Fatalf("%s geometry %d op %d: condemnation: SoA %v, reference %v", p, gi, op, got, want)
+					}
+				}
 				switch rng.Intn(8) {
 				case 0, 1, 2: // Access dominates, as in the simulator
 					h1, e1 := soa.Access(addr, isWrite)
@@ -157,16 +173,28 @@ func TestSoAMatchesReferenceLayout(t *testing.T) {
 				}
 				totalOps++
 			}
-			if s1, s2 := soa.Stats(), aos.Stats(); s1 != s2 {
+			if s1, s2 := soa.Stats(), aos.stats; s1 != s2 {
 				t.Errorf("%s geometry %d: stats diverged: SoA %+v, reference %+v", p, gi, s1, s2)
 			}
-			if o1, o2 := soa.OccupiedLines(), aos.OccupiedLines(); o1 != o2 {
+			if o1, o2 := soa.OccupiedLines(), aos.occupiedLines(); o1 != o2 {
 				t.Errorf("%s geometry %d: occupied %d vs %d", p, gi, o1, o2)
 			}
-			if d1, d2 := soa.DirtyLines(), aos.DirtyLines(); d1 != d2 {
+			if d1, d2 := soa.DirtyLines(), aos.dirtyLines(); d1 != d2 {
 				t.Errorf("%s geometry %d: dirty %d vs %d", p, gi, d1, d2)
 			}
-			c1, c2 := dumpSoA(soa), dumpRef(aos.ref)
+			dead := 0
+			for set := 0; set < g.sets; set++ {
+				w1, w2 := soa.DisabledWays(set), aos.disabledWays(set)
+				if w1 != w2 {
+					t.Errorf("%s geometry %d set %d: disabled ways %d vs %d", p, gi, set, w1, w2)
+				}
+				condemned += w1
+				if soa.EnabledWays(set) == 0 {
+					dead++
+				}
+			}
+			deadSets += dead
+			c1, c2 := dumpSoA(soa), dumpRef(aos)
 			for s := range c1 {
 				if fmt.Sprint(c1[s]) != fmt.Sprint(c2[s]) {
 					t.Fatalf("%s geometry %d set %d: contents diverged\nSoA: %v\nref: %v", p, gi, s, c1[s], c2[s])
@@ -176,6 +204,11 @@ func TestSoAMatchesReferenceLayout(t *testing.T) {
 	}
 	if totalOps < 200_000 {
 		t.Fatalf("property test replayed only %d ops, want ≥200000", totalOps)
+	}
+	// The capped paths must actually have run: ways condemned, and
+	// whole sets dead.
+	if condemned == 0 || deadSets == 0 {
+		t.Fatalf("condemned %d ways and killed %d sets; the capped fill paths went unexercised", condemned, deadSets)
 	}
 }
 
@@ -217,12 +250,18 @@ func TestVictimSeedDerivation(t *testing.T) {
 		t.Error("VictimSeed override must pin the victim sequence across level names")
 	}
 
-	// Both layouts must derive the same seed from the same config, so
-	// old-vs-new comparisons stay reproducible under Random replacement.
-	aos := llc
-	aos.Layout = LayoutAoS
-	if fmt.Sprint(evictions(llc)) != fmt.Sprint(evictions(aos)) {
-		t.Error("SoA and reference layouts diverged under Random replacement")
+	// The reference oracle seeded from the same config must replay the
+	// same Random victim sequence.
+	sets := int(llc.CapacityBytes / int64(llc.BlockBytes*llc.Ways))
+	ref := newRefStore(sets, llc.Ways, Random, llc.victimSeed(sets))
+	var refEvs []uint64
+	for l := uint64(0); l < 4096; l++ {
+		if _, ev := ref.Access(l, false); ev.Valid {
+			refEvs = append(refEvs, ev.LineAddr)
+		}
+	}
+	if fmt.Sprint(evictions(llc)) != fmt.Sprint(refEvs) {
+		t.Error("SoA store and reference oracle diverged under Random replacement")
 	}
 }
 
@@ -242,7 +281,6 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "b", CapacityBytes: 100, BlockBytes: 64, Ways: 2},
 		{Name: "b", CapacityBytes: 64 * 2 * 3, BlockBytes: 64, Ways: 2}, // 3 sets
 		{Name: "b", CapacityBytes: 512, BlockBytes: 64, Ways: 2, Policy: Policy(99)},
-		{Name: "b", CapacityBytes: 512, BlockBytes: 64, Ways: 2, Layout: Layout(99)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

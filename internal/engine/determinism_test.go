@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"nvmllc/internal/golden"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/workload"
@@ -51,11 +52,12 @@ func marshal(t *testing.T, r *system.Result) []byte {
 
 // TestEngineSchedulerEquivalence is the engine-level acceptance test for
 // the heap-scheduler swap: every Result the engine produces (through its
-// default heap-scheduled, scratch-pooled path) must be byte-identical to
-// the same design point simulated with the historical linear-scan
-// scheduler, and the cache key must not change — cached results from
+// heap-scheduled, scratch-pooled streaming path) must match the digest
+// committed while the historical linear-scan scheduler still ran
+// alongside, and the cache key must not change — cached results from
 // before the swap stay valid.
 func TestEngineSchedulerEquivalence(t *testing.T) {
+	digests := golden.Load(t, engineGoldenFile)
 	e := New()
 	for _, j := range mtJobs(t) {
 		key, cacheable := Key(j)
@@ -66,22 +68,18 @@ func TestEngineSchedulerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := system.RunScheduled(context.Background(), j.Config, j.Trace, system.SchedLinearScan, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gb, wb := marshal(t, got), marshal(t, want); !bytes.Equal(gb, wb) {
-			t.Errorf("%s/%d threads: engine result differs from linear-scan scheduler\nengine: %s\nscan:   %s",
-				j.Workload, j.TraceOpts.Threads, gb, wb)
+		want := digests[mtJobKey(j)]
+		if d := golden.Digest(marshal(t, got)); d != want {
+			t.Errorf("%s/%d threads: engine result digest %s, committed %q", j.Workload, j.TraceOpts.Threads, d, want)
 		}
 		if key2, _ := Key(j); key2 != key {
 			t.Errorf("%s/%d threads: cache key not deterministic: %s vs %s",
 				j.Workload, j.TraceOpts.Threads, key, key2)
 		}
-		// Pre-decode leg: the same design point streamed through a fresh
-		// engine (chunked ring + batch pre-decode + trace sharing) must
-		// reproduce the linear-scan result too, under the same cache key —
-		// the pipeline rework must never move a job to a different entry.
+		// Generator leg: the same design point streamed from its generator
+		// through a fresh engine (trace sharing included) must reproduce
+		// the committed result too, under the same cache key — the input
+		// form must never move a job to a different entry.
 		p, err := workload.ByName(j.Workload)
 		if err != nil {
 			t.Fatal(err)
@@ -95,9 +93,8 @@ func TestEngineSchedulerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sb, wb := marshal(t, sres), marshal(t, want); !bytes.Equal(sb, wb) {
-			t.Errorf("%s/%d threads: streamed engine result differs from linear-scan scheduler\nstream: %s\nscan:   %s",
-				j.Workload, j.TraceOpts.Threads, sb, wb)
+		if d := golden.Digest(marshal(t, sres)); d != want {
+			t.Errorf("%s/%d threads: streamed engine result digest %s, committed %q", j.Workload, j.TraceOpts.Threads, d, want)
 		}
 	}
 }

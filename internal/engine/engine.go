@@ -43,10 +43,11 @@ import (
 // NoCache).
 //
 // The trace arrives either materialized (Trace) or streamed (Source).
-// The two forms are interchangeable: the simulator produces byte-
-// identical results for the same access sequence, and the cache key does
-// not distinguish them, so a streamed job can be answered by a cached
-// whole-trace result and vice versa.
+// Both simulate through the same streaming path (a materialized trace is
+// read through a trace.TraceSource), so they produce byte-identical
+// results for the same access sequence, and the cache key does not
+// distinguish them: a streamed job can be answered by a cached result of
+// its materialized twin and vice versa.
 type Job struct {
 	// Workload is the trace/workload name.
 	Workload string
@@ -435,7 +436,10 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 	var accesses uint64
 	switch {
 	case j.Trace != nil:
-		res, err = system.RunWith(ctx, j.Config, j.Trace, scratch)
+		var src *trace.TraceSource
+		if src, err = trace.NewTraceSource(j.Trace); err == nil {
+			res, err = system.RunStreamWith(ctx, j.Config, src, scratch)
+		}
 		accesses = uint64(len(j.Trace.Accesses))
 	case j.Source != nil:
 		res, accesses, err = e.runSource(ctx, j, scratch)

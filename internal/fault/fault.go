@@ -9,8 +9,9 @@
 // deterministic, seed-derived process so degraded runs are exactly
 // reproducible and cacheable.
 //
-// The model is intentionally layout-independent so the simulator's SoA
-// and AoS tag stores stay bit-identical under faults. Wear is tracked per
+// The model is intentionally independent of the tag-store layout (the
+// cache package's SoA store and its AoS test oracle agree under faults).
+// Wear is tracked per
 // set under an ideal intra-set-leveling assumption (each data-array write
 // to a set adds 1/enabled(set) writes of wear to each of its live cells —
 // the WriteSmoothing-style upper bound internal/endurance also uses), and

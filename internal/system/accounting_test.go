@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"nvmllc/internal/cache"
 	"nvmllc/internal/nvsim"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/trace"
@@ -55,7 +54,7 @@ func TestHybridInterventionChargesLatency(t *testing.T) {
 			{Addr: 0x10040, Kind: trace.Read, Tid: 1},
 		},
 	}
-	sim, err := newSimulator(cfg, tr.Threads, new(Scratch), cache.LayoutSoA)
+	sim, err := newSimulator(cfg, tr.Threads, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,17 @@ package system
 
 // Fault-injection properties at the whole-simulator level: a disabled
 // fault config must be provably inert (bit-identical results to a config
-// that never mentions faults, across layouts and input paths), and an
-// enabled one must degrade deterministically and identically in every
-// layout and input path.
+// that never mentions faults, for materialized and generated input), and
+// an enabled one must degrade deterministically, reproducing the digests
+// committed while the AoS tag store still ran alongside the SoA one.
 
 import (
 	"bytes"
 	"context"
 	"testing"
 
-	"nvmllc/internal/cache"
 	"nvmllc/internal/fault"
+	"nvmllc/internal/golden"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/workload"
 )
@@ -35,16 +35,18 @@ func faultedKang(t *testing.T, enduranceWrites float64) Config {
 
 // TestFaultZeroValueBitIdentical: a Config whose Fault field is set but
 // disabled (infinite endurance) must produce byte-identical Results to
-// the untouched zero-value Fault, for both tag-store layouts and for the
-// streaming input path — the inertness guarantee that keeps fault-free
-// runs bit-identical to the pre-fault simulator.
+// the untouched zero-value Fault — itself pinned to the committed
+// digests — for both materialized and generator-fed input: the
+// inertness guarantee that keeps fault-free runs bit-identical to the
+// pre-fault simulator.
 func TestFaultZeroValueBitIdentical(t *testing.T) {
+	digests := golden.Load(t, resultsFile)
 	prof, err := workload.ByName("ft")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, mkCfg := range machineVariants(t) {
-		opts := workload.Options{Accesses: 20000, Threads: 4}
+		opts := variantOpts(4)
 		tr, err := workload.Generate(prof, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -57,6 +59,7 @@ func TestFaultZeroValueBitIdentical(t *testing.T) {
 		if want.Degradation != nil {
 			t.Fatalf("%s: zero-value fault config produced degradation stats", name)
 		}
+		checkGolden(t, digests, variantKey(name, 4), want)
 		wantB := marshalResult(t, want)
 
 		// Same machine, fault config populated but disabled: every knob
@@ -66,35 +69,34 @@ func TestFaultZeroValueBitIdentical(t *testing.T) {
 		if cfg.Fault.Enabled() {
 			t.Fatal("test config unexpectedly enabled")
 		}
-		for _, layout := range []cache.Layout{cache.LayoutSoA, cache.LayoutAoS} {
-			got, err := RunLayout(context.Background(), cfg, tr, layout, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotB := marshalResult(t, got); !bytes.Equal(gotB, wantB) {
-				t.Errorf("%s/%v: disabled fault config changed the result\ngot:  %s\nwant: %s",
-					name, layout, gotB, wantB)
-			}
+		got, err := Run(context.Background(), cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotB := marshalResult(t, got); !bytes.Equal(gotB, wantB) {
+			t.Errorf("%s: disabled fault config changed the result\ngot:  %s\nwant: %s", name, gotB, wantB)
 		}
 		gen, err := workload.NewGenerator(prof, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunStreamWith(context.Background(), cfg, gen, nil)
+		got, err = RunStreamWith(context.Background(), cfg, gen, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotB := marshalResult(t, got); !bytes.Equal(gotB, wantB) {
-			t.Errorf("%s/stream: disabled fault config changed the result", name)
+			t.Errorf("%s/generator: disabled fault config changed the result", name)
 		}
 	}
 }
 
-// TestFaultedRunEquivalence: with faults actively condemning ways, both
-// tag-store layouts and the streaming path must still agree byte for
-// byte, at a mild endurance (a few condemnations) and a harsh one (dead
-// sets and DRAM bypassing).
+// TestFaultedRunEquivalence: with faults actively condemning ways,
+// materialized and generator-fed runs must agree byte for byte and
+// reproduce the digests committed while the AoS tag store ran alongside,
+// at a mild endurance (a few condemnations) and a harsh one (dead sets
+// and DRAM bypassing).
 func TestFaultedRunEquivalence(t *testing.T) {
+	digests := golden.Load(t, resultsFile)
 	prof, err := workload.ByName("is")
 	if err != nil {
 		t.Fatal(err)
@@ -104,16 +106,13 @@ func TestFaultedRunEquivalence(t *testing.T) {
 	// endurances sit well below one per-cell write: "mild" condemns a few
 	// ways in the hottest sets, "harsh" is below every threshold so each
 	// write condemns a way and the hottest sets die completely.
-	for name, tc := range map[string]struct {
-		enduranceWrites float64
-		accesses        int
-	}{"mild": {0.05, 25000}, "harsh": {0.004, 60000}} {
-		opts := workload.Options{Accesses: tc.accesses, Threads: 4}
+	for name, endurance := range faultedEndurance {
+		opts := faultedOpts[name]
 		tr, err := workload.Generate(prof, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := faultedKang(t, tc.enduranceWrites)
+		cfg := faultedKang(t, endurance)
 		want, err := Run(context.Background(), cfg, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -128,15 +127,8 @@ func TestFaultedRunEquivalence(t *testing.T) {
 		if d.CapacityFraction() >= 1 {
 			t.Fatalf("%s: capacity did not drop: %+v", name, d)
 		}
+		checkGolden(t, digests, "fault/"+name, want)
 		wantB := marshalResult(t, want)
-
-		aos, err := RunLayout(context.Background(), cfg, tr, cache.LayoutAoS, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aosB := marshalResult(t, aos); !bytes.Equal(aosB, wantB) {
-			t.Errorf("%s: AoS diverged under faults\naos: %s\nsoa: %s", name, aosB, wantB)
-		}
 		gen, err := workload.NewGenerator(prof, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -83,7 +83,7 @@ type hybridLLC struct {
 // cache.Config.Validate before construction, so a bad hybrid geometry is
 // reported against the partition that causes it rather than surfacing as
 // a generic cache.New error.
-func newHybridLLC(h *HybridConfig, blockBytes, totalWays int, layout cache.Layout) (*hybridLLC, error) {
+func newHybridLLC(h *HybridConfig, blockBytes, totalWays int) (*hybridLLC, error) {
 	if err := h.Validate(totalWays); err != nil {
 		return nil, err
 	}
@@ -94,11 +94,11 @@ func newHybridLLC(h *HybridConfig, blockBytes, totalWays int, layout cache.Layou
 	nvmWays := totalWays - h.SRAMWays
 	sramCfg := cache.Config{
 		Name: "LLC-SRAM", CapacityBytes: sets * int64(h.SRAMWays) * int64(blockBytes),
-		BlockBytes: blockBytes, Ways: h.SRAMWays, Layout: layout,
+		BlockBytes: blockBytes, Ways: h.SRAMWays,
 	}
 	nvmCfg := cache.Config{
 		Name: "LLC-NVM", CapacityBytes: sets * int64(nvmWays) * int64(blockBytes),
-		BlockBytes: blockBytes, Ways: nvmWays, Layout: layout,
+		BlockBytes: blockBytes, Ways: nvmWays,
 	}
 	for _, cfg := range []cache.Config{sramCfg, nvmCfg} {
 		if err := cfg.Validate(); err != nil {

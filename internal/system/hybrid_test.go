@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"nvmllc/internal/cache"
 	"nvmllc/internal/reference"
 )
 
@@ -137,7 +136,7 @@ func TestHybridDemotionsPreserveData(t *testing.T) {
 func TestHybridLeakageBlend(t *testing.T) {
 	kang, _ := reference.ModelByName(reference.FixedCapacityModels(), "Kang_P")
 	h := &HybridConfig{SRAM: reference.SRAMBaseline(), NVM: kang, SRAMWays: 4}
-	hl, err := newHybridLLC(h, 64, 16, cache.LayoutSoA)
+	hl, err := newHybridLLC(h, 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,14 @@ package system
 // Batched hot-loop pre-decode. The per-access hierarchy walk used to
 // recompute the same geometry at every level — shift the address into a
 // line, mask it into a set, multiply into a tag-store base — for every
-// access, interleaved with the pointer-chasing cache probes. A decoder
-// instead runs one batch pass per trace chunk (or over the whole
-// materialized split) that precomputes the line address, the per-level
-// set bases, and the access kind into SoA lane arrays; the simulation
-// loop then consumes the lanes and hands the bases to
-// cache.AccessAt, keeping the shift/mask work out of the dispatch path
-// and in a tight, bounds-check-eliminated loop. The lanes carry exactly
-// the values the eager path computed, so results are byte-identical
-// (pinned by the stream/layout/scheduler equivalence suites).
+// access, interleaved with the pointer-chasing cache probes. Instead the
+// streaming producer decodes each trace chunk as it scatters it per
+// thread, precomputing the line address, the per-level set bases, and
+// the access kind into SoA lane arrays; the simulation loop then
+// consumes the lanes and hands the bases to cache.AccessAt, keeping the
+// shift/mask work out of the dispatch path. The lanes carry exactly the
+// values the eager path computed, so results are byte-identical (pinned
+// by testdata/golden).
 
 import (
 	"nvmllc/internal/cache"
@@ -32,8 +31,7 @@ type laneBuf struct {
 }
 
 // laneBytesPerAccess is the lane storage per decoded access (8 + 4 + 4 +
-// 4 + 1), the figure the peak-footprint accounting in cmd/benchreport
-// uses.
+// 4 + 1), the figure the peak-footprint accounting uses.
 const laneBytesPerAccess = 21
 
 // ensure grows the lanes to hold n accesses, reusing prior capacity.
@@ -88,31 +86,6 @@ func newDecoder(s *simulator) decoder {
 	return d
 }
 
-// decodeInto batch-decodes a contiguous run of accesses into lane
-// windows of the same length. The self-slicing hoists every bounds check
-// out of the loop body.
-func (d *decoder) decodeInto(accs []trace.Access, line []uint64, l1, l2, llc []int32, kind []trace.Kind) {
-	n := len(accs)
-	line = line[:n]
-	l1 = l1[:n]
-	l2 = l2[:n]
-	llc = llc[:n]
-	kind = kind[:n]
-	for i := range accs {
-		a := accs[i]
-		ln := a.Addr >> d.blockBits
-		line[i] = ln
-		kind[i] = a.Kind
-		b1 := int32(ln&d.l1dMask) * d.l1dWays
-		if a.Kind == trace.Ifetch {
-			b1 = int32(ln&d.l1iMask) * d.l1iWays
-		}
-		l1[i] = b1
-		l2[i] = int32(ln&d.l2Mask) * d.l2Ways
-		llc[i] = int32(ln&d.llcMask) * d.llcWays
-	}
-}
-
 // put decodes a single access into lane slot j (the streaming producer's
 // scatter path, where per-thread destinations interleave).
 func (d *decoder) put(b *laneBuf, j int, a trace.Access) {
@@ -148,16 +121,9 @@ func (cs *coreState) clearLanes() {
 	cs.pos = 0
 }
 
-// traceAccessBytes is the size of one trace.Access (the raw chunk and
-// split storage unit) for the peak-footprint accounting.
+// traceAccessBytes is the size of one trace.Access (the raw chunk
+// storage unit) for the peak-footprint accounting.
 const traceAccessBytes = 16
-
-// MaterializedPeakBytes estimates the peak resident trace-buffer
-// footprint of a whole-trace run: the materialized trace itself, the
-// per-thread split copy, and the pre-decoded lanes — all O(trace).
-func MaterializedPeakBytes(accesses int64) int64 {
-	return accesses * (2*traceAccessBytes + laneBytesPerAccess)
-}
 
 // StreamingPeakBytes estimates the peak resident trace-buffer footprint
 // of a streaming run: ringSlots chunk buffers each holding the raw
@@ -169,8 +135,7 @@ func StreamingPeakBytes(chunkAccesses, ringSlots int) int64 {
 
 // StreamedTracePeakBytes estimates the peak resident trace-buffer
 // footprint of streaming an already-materialized trace: the trace stays
-// resident, but the per-thread split copy and the whole-trace lanes are
-// never built — only the ring's O(chunk × ring) window exists alongside
+// resident, and only the ring's O(chunk × ring) window exists alongside
 // it.
 func StreamedTracePeakBytes(accesses int64, chunkAccesses, ringSlots int) int64 {
 	return accesses*traceAccessBytes + StreamingPeakBytes(chunkAccesses, ringSlots)

@@ -9,33 +9,8 @@ package system
 //
 // Ties break on core index, ascending — exactly the order the historical
 // linear scan produced (it kept the first strictly-smaller element, i.e.
-// the lowest-indexed core among equals) — so the heap and scan schedulers
-// are step-for-step identical and cached results, fixed-seed manifests
-// and the equivalence tests in the engine stay stable across the swap.
-
-// Scheduler selects the core-interleaving implementation for RunScheduled.
-type Scheduler int
-
-const (
-	// SchedHeap is the default O(log cores) min-heap scheduler.
-	SchedHeap Scheduler = iota
-	// SchedLinearScan is the historical O(cores) per-access scan, kept as
-	// the reference implementation for equivalence tests and the
-	// BENCH_hotloop.json before/after comparison.
-	SchedLinearScan
-)
-
-// String names the scheduler ("heap", "linear-scan").
-func (s Scheduler) String() string {
-	switch s {
-	case SchedHeap:
-		return "heap"
-	case SchedLinearScan:
-		return "linear-scan"
-	default:
-		return "Scheduler(?)"
-	}
-}
+// the lowest-indexed core among equals) — so results stay identical to
+// the digests pinned before the scan was retired (testdata/golden).
 
 // heapEnt is one heap slot: the core's clock and index, held by value so
 // sift comparisons stay inside the contiguous (cache-resident) heap
@@ -57,11 +32,13 @@ type coreHeap struct {
 	cores []*coreState // all cores, indexed by coreState.idx
 }
 
-// newCoreHeap heapifies the cores that have any accesses to run.
+// newCoreHeap heapifies the cores that will consume any accesses (their
+// segment queues may still be empty — membership is the thread's total
+// remaining count, not what has been generated so far).
 func newCoreHeap(cores []*coreState) *coreHeap {
 	h := &coreHeap{cores: cores, ents: make([]heapEnt, 0, len(cores))}
 	for _, cs := range cores {
-		if cs.pos < len(cs.line) {
+		if cs.streamLeft > 0 {
 			h.ents = append(h.ents, heapEnt{timeNS: cs.core.TimeNS(), idx: int32(cs.idx)})
 		}
 	}

@@ -1,7 +1,8 @@
 package system
 
-// Streaming simulation: RunStream consumes a trace.ChunkSource chunk by
-// chunk instead of a materialized trace, holding O(chunk × ring) access
+// Streaming simulation, the simulator's only execution path: RunStream
+// consumes a trace.ChunkSource chunk by chunk (Run wraps a materialized
+// trace in a trace.TraceSource), holding O(chunk × ring) access
 // memory regardless of trace length, and overlaps generation AND
 // pre-decode of upcoming chunks with simulation of the current one
 // through an N-slot ring (default DefaultRingSlots) cycled between a
@@ -35,21 +36,21 @@ package system
 // stop channel, so a producer error after the consumer has exited (or a
 // cancelled run) can never block forever on a full or empty channel.
 //
-// The scheduling is provably identical to the whole-trace path: the same
-// min-heap picks the core with the earliest (local time, index) key, a
-// core stays in the heap while it has stream accesses left anywhere in
-// the trace (streamLeft, from Meta.PerThread), and when the earliest
-// core's next access has not been generated yet the loop refills — which
-// steps no other core — until it is. Per-core segment FIFOs preserve
-// program order (the counting scatter is stable), and the instruction
-// pacing divides the same up-front PerThread counts, so results are
-// byte-identical to Run on the same sequence.
+// The scheduling does not depend on chunking: the min-heap picks the
+// core with the earliest (local time, index) key, a core stays in the
+// heap while it has stream accesses left anywhere in the trace
+// (streamLeft, from Meta.PerThread), and when the earliest core's next
+// access has not been generated yet the loop refills — which steps no
+// other core — until it is. Per-core segment FIFOs preserve program
+// order (the counting scatter is stable), and the instruction pacing
+// divides the up-front PerThread counts, so results are byte-identical
+// for every chunk size and ring depth, and to the retired whole-trace
+// path whose output testdata/golden pins.
 
 import (
 	"context"
 	"fmt"
 
-	"nvmllc/internal/cache"
 	"nvmllc/internal/trace"
 )
 
@@ -116,7 +117,7 @@ func runStreamChunked(ctx context.Context, cfg Config, src trace.ChunkSource, sc
 	if scratch == nil {
 		scratch = new(Scratch)
 	}
-	sim, err := newSimulator(cfg, meta.Threads, scratch, cache.LayoutSoA)
+	sim, err := newSimulator(cfg, meta.Threads, scratch)
 	if err != nil {
 		return nil, streamStats{}, err
 	}
@@ -124,8 +125,7 @@ func runStreamChunked(ctx context.Context, cfg Config, src trace.ChunkSource, sc
 
 	// Wire the stream: segment queues start empty, streamLeft counts
 	// everything the core will consume (generated or not), pacing divides
-	// the same PerThread totals loadTrace derives from a materialized
-	// split.
+	// the source's declared PerThread totals.
 	if cap(scratch.segq) < meta.Threads {
 		scratch.segq = make([][]*ringSlot, meta.Threads)
 	}
@@ -136,7 +136,7 @@ func runStreamChunked(ctx context.Context, cfg Config, src trace.ChunkSource, sc
 		cs.segs = segQueue{q: scratch.segq[t][:0]}
 		cs.streamLeft = meta.PerThread[t]
 	}
-	sim.spreadBudgets(meta.InstrCount, func(t int) int64 { return meta.PerThread[t] })
+	sim.spreadBudgets(meta.InstrCount, meta.PerThread)
 	// Return the (possibly regrown) queue storage to the scratch whatever
 	// the outcome.
 	defer func() {
@@ -544,13 +544,14 @@ func copyLaneWindow(dst *laneBuf, dstOff int32, src *laneBuf, srcOff, n int32) {
 	copy(dst.kind[d:], src.kind[s0:s1])
 }
 
-// runStream is the heap scheduler over a chunked source: identical step
-// order to run(), with membership keyed on streamLeft instead of segment
-// length, segment advance when the current window drains, and an inline
-// refill whenever the earliest core's next access has not been delivered
-// yet.
+// runStream interleaves the per-core access streams in core-local time
+// order: each step advances the core with the earliest local clock
+// (sched.go's min-heap), which keeps shared-resource (LLC, DRAM)
+// interactions approximately causal. A core advances to its next segment
+// when the current window drains, and the loop refills inline whenever
+// the earliest core's next access has not been delivered yet.
 func (s *simulator) runStream(ctx context.Context, st *streamState) error {
-	h := newStreamHeap(s.cores)
+	h := newCoreHeap(s.cores)
 	steps := 0
 	for h.len() > 0 {
 		cs := h.min()
@@ -587,20 +588,4 @@ func (s *simulator) runStream(ctx context.Context, st *streamState) error {
 	}
 	s.retireRemainder()
 	return nil
-}
-
-// newStreamHeap heapifies the cores that will consume any stream
-// accesses (their queues may still be empty — membership is the thread's
-// total remaining count, not what has been generated so far).
-func newStreamHeap(cores []*coreState) *coreHeap {
-	h := &coreHeap{cores: cores, ents: make([]heapEnt, 0, len(cores))}
-	for _, cs := range cores {
-		if cs.streamLeft > 0 {
-			h.ents = append(h.ents, heapEnt{timeNS: cs.core.TimeNS(), idx: int32(cs.idx)})
-		}
-	}
-	for i := len(h.ents)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	return h
 }

@@ -1,12 +1,12 @@
 package system
 
-// Equivalence tests for the streaming pipeline and the tag-store layout
-// swap at the whole-simulator level: RunStream must be byte-identical to
-// Run on the same access sequence (every counter, clock and energy
-// figure), and RunLayout(LayoutAoS) byte-identical to the default SoA
-// layout, across machine variants that exercise every optional subsystem
-// (coherence, hybrid LLC, wear tracking, dead-block bypass, write
-// contention).
+// Equivalence tests for the streaming pipeline at the whole-simulator
+// level: every chunk size and ring depth, and scratch reuse across
+// differently shaped machines, must reproduce the committed result
+// digests (testdata/golden) byte for byte — every counter, clock and
+// energy figure — across machine variants that exercise every optional
+// subsystem (coherence, hybrid LLC, wear tracking, dead-block bypass,
+// write contention).
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"nvmllc/internal/cache"
+	"nvmllc/internal/golden"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
@@ -69,31 +70,22 @@ func marshalResult(t *testing.T, r *Result) []byte {
 }
 
 // TestStreamMatchesWholeTrace: simulating a workload through the chunked
-// streaming path (generator → double buffer → per-core queues) must be
-// byte-identical to materializing the whole trace and running it, for
-// every machine variant, thread count and chunk size — including chunks
+// streaming path (generator → ring → per-core queues) must reproduce the
+// digests the retired whole-trace path committed, for every machine
+// variant, thread count, chunk size and ring depth — including chunks
 // far smaller than a scheduling quantum, which force mid-flight refills.
 func TestStreamMatchesWholeTrace(t *testing.T) {
+	want := golden.Load(t, resultsFile)
 	prof, err := workload.ByName("ft")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, mkCfg := range machineVariants(t) {
 		for _, threads := range []int{1, 2, 8} {
-			opts := workload.Options{Accesses: 20000, Threads: threads}
-			tr, err := workload.Generate(prof, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cfg := mkCfg(threads)
-			want, err := Run(context.Background(), cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantB := marshalResult(t, want)
 			for _, chunk := range []int{64, 1000, DefaultChunkAccesses} {
 				for _, slots := range []int{2, DefaultRingSlots, 8} {
-					gen, err := workload.NewGenerator(prof, opts)
+					gen, err := workload.NewGenerator(prof, variantOpts(threads))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -101,18 +93,15 @@ func TestStreamMatchesWholeTrace(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%dt/chunk=%d/slots=%d: %v", name, threads, chunk, slots, err)
 					}
-					if gotB := marshalResult(t, got); !bytes.Equal(gotB, wantB) {
-						t.Errorf("%s/%dt/chunk=%d/slots=%d: streaming diverged\nstream: %s\nwhole:  %s", name, threads, chunk, slots, gotB, wantB)
-					}
+					checkGolden(t, want, variantKey(name, threads), got)
 				}
 			}
 		}
 	}
 }
 
-// TestTraceSourceStreaming: streaming a materialized trace back through
-// trace.TraceSource must reproduce the whole-trace result, and reusing
-// one Scratch across repeated streaming runs must not change anything.
+// TestTraceSourceStreaming: reusing one Scratch across repeated streaming
+// runs of a materialized trace must reproduce a fresh run exactly.
 func TestTraceSourceStreaming(t *testing.T) {
 	prof, err := workload.ByName("is")
 	if err != nil {
@@ -139,38 +128,33 @@ func TestTraceSourceStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotB := marshalResult(t, got); !bytes.Equal(gotB, wantB) {
-			t.Errorf("run %d: TraceSource streaming diverged\nstream: %s\nwhole:  %s", i, gotB, wantB)
+			t.Errorf("run %d: scratch reuse changed the result\nreused: %s\nfresh:  %s", i, gotB, wantB)
 		}
 	}
 }
 
-// TestRunLayoutEquivalence: the packed SoA tag store and the retained
-// reference layout must produce byte-identical results through the full
-// simulator on every machine variant.
+// TestRunLayoutEquivalence: the packed SoA tag store, carved from one
+// arena recycled across differently shaped machines, must reproduce the
+// digests committed while the AoS reference layout still ran through the
+// full simulator alongside it, on every machine variant.
 func TestRunLayoutEquivalence(t *testing.T) {
+	want := golden.Load(t, resultsFile)
 	prof, err := workload.ByName("ft")
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch := new(Scratch)
 	for name, mkCfg := range machineVariants(t) {
 		for _, threads := range []int{1, 4} {
-			tr, err := workload.Generate(prof, workload.Options{Accesses: 20000, Threads: threads})
+			gen, err := workload.NewGenerator(prof, variantOpts(threads))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := mkCfg(threads)
-			soa, err := RunLayout(context.Background(), cfg, tr, cache.LayoutSoA, nil)
+			got, err := RunStreamWith(context.Background(), mkCfg(threads), gen, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			aos, err := RunLayout(context.Background(), cfg, tr, cache.LayoutAoS, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, ab := marshalResult(t, soa), marshalResult(t, aos)
-			if !bytes.Equal(sb, ab) {
-				t.Errorf("%s/%dt: layouts disagree\nsoa: %s\naos: %s", name, threads, sb, ab)
-			}
+			checkGolden(t, want, variantKey(name, threads), got)
 		}
 	}
 }

@@ -33,6 +33,15 @@ func sramConfig() Config {
 	return Gainestown(reference.SRAMBaseline())
 }
 
+// runWith is Run reusing the caller's Scratch.
+func runWith(ctx context.Context, cfg Config, tr *trace.Trace, scratch *Scratch) (*Result, error) {
+	src, err := trace.NewTraceSource(tr)
+	if err != nil {
+		return nil, err
+	}
+	return RunStreamWith(ctx, cfg, src, scratch)
+}
+
 func TestRunSmallTrace(t *testing.T) {
 	tr := streamTrace("small", 100, 10000, 5, 1)
 	r, err := Run(context.Background(), sramConfig(), tr)

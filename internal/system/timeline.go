@@ -137,17 +137,6 @@ func newEpochSampler(cfg *TimelineConfig, instrCount uint64) *epochSampler {
 	}
 }
 
-// note advances the instruction clock by one access's retirement and
-// samples when a boundary is crossed. The simulator's step hand-inlines
-// this exact logic (an add and a compare per access, no call); note is
-// the reference form, kept for the sampler's unit tests.
-func (es *epochSampler) note(s *simulator, retired uint64) {
-	es.instr += retired
-	if es.instr >= es.next {
-		es.boundary(s)
-	}
-}
-
 // boundary samples the crossed epoch and advances the next threshold
 // past the current instruction clock (several epochs at once when one
 // access retires more than an epoch's worth of instructions).

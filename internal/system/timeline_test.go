@@ -6,12 +6,23 @@ import (
 	"reflect"
 	"testing"
 
-	"nvmllc/internal/cache"
 	"nvmllc/internal/fault"
+	"nvmllc/internal/golden"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/telemetry"
 	"nvmllc/internal/workload"
 )
+
+// note advances the instruction clock by one access's retirement and
+// samples when a boundary is crossed: the logic the simulator's step
+// hand-inlines (an add and a compare per access, no call), as a method
+// the sampler's unit tests can drive.
+func (es *epochSampler) note(s *simulator, retired uint64) {
+	es.instr += retired
+	if es.instr >= es.next {
+		es.boundary(s)
+	}
+}
 
 // timelineConfig is sramConfig with wear tracking and epoch sampling on.
 func timelineConfig(points int) Config {
@@ -217,44 +228,48 @@ func TestPhasesDegenerateTimelines(t *testing.T) {
 }
 
 // TestTimelineDeterministicAcrossPaths pins byte-identical timelines and
-// heatmaps across every execution strategy that must not change results:
-// the heap vs linear-scan schedulers, SoA vs AoS tag layouts, and the
-// chunked streaming pipeline vs whole-trace materialization.
+// heatmaps across every execution strategy that must not change results
+// — generator-fed vs materialized input, fresh vs reused scratch, the
+// default vs a tiny ring — and pins the reference run to the digest
+// committed while the linear-scan scheduler and the AoS tag store still
+// ran alongside.
 func TestTimelineDeterministicAcrossPaths(t *testing.T) {
-	p, err := workload.ByName("ft")
+	gc := timelineWearCase()
+	p, err := workload.ByName(gc.workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := workload.Options{Accesses: 40000, Threads: 4, Seed: 7}
-	tr, err := workload.Generate(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Gainestown(reference.SRAMBaseline()).WithCores(4)
-	cfg.TrackWear = true
-	cfg.Timeline = &TimelineConfig{Points: 24}
+	tr := gc.generate(t)
+	cfg := gc.cfg()
 
 	ctx := context.Background()
-	ref, err := RunWith(ctx, cfg, tr, nil)
+	ref, err := Run(ctx, cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, golden.Load(t, resultsFile), gc.name, ref)
 	runs := map[string]func() (*Result, error){
-		"linear-scan": func() (*Result, error) { return RunScheduled(ctx, cfg, tr, SchedLinearScan, nil) },
-		"aos-layout":  func() (*Result, error) { return RunLayout(ctx, cfg, tr, cache.LayoutAoS, nil) },
-		"streaming": func() (*Result, error) {
-			gen, err := workload.NewGenerator(p, opts)
+		"generator": func() (*Result, error) {
+			gen, err := workload.NewGenerator(p, gc.opts)
 			if err != nil {
 				return nil, err
 			}
 			return RunStreamWith(ctx, cfg, gen, nil)
 		},
-		"scratch-reuse": func() (*Result, error) {
-			var scratch Scratch
-			if _, err := RunWith(ctx, cfg, tr, &scratch); err != nil {
+		"small-ring": func() (*Result, error) {
+			gen, err := workload.NewGenerator(p, gc.opts)
+			if err != nil {
 				return nil, err
 			}
-			return RunWith(ctx, cfg, tr, &scratch)
+			res, _, err := runStreamChunked(ctx, cfg, gen, nil, 256, 2)
+			return res, err
+		},
+		"scratch-reuse": func() (*Result, error) {
+			var scratch Scratch
+			if _, err := runWith(ctx, cfg, tr, &scratch); err != nil {
+				return nil, err
+			}
+			return runWith(ctx, cfg, tr, &scratch)
 		},
 	}
 	for name, run := range runs {

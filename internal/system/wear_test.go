@@ -142,7 +142,7 @@ func TestWearScratchRecycled(t *testing.T) {
 	cfg := sramConfig()
 	cfg.TrackWear = true
 	var scratch Scratch
-	first, err := RunWith(context.Background(), cfg, tr, &scratch)
+	first, err := runWith(context.Background(), cfg, tr, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWearScratchRecycled(t *testing.T) {
 		t.Fatal("scratch did not retain wear storage after the run")
 	}
 	retained := reflect.ValueOf(scratch.wearLines).Pointer()
-	second, err := RunWith(context.Background(), cfg, tr, &scratch)
+	second, err := runWith(context.Background(), cfg, tr, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,30 +155,10 @@ func FilterKind(accesses []Access, k Kind) []Access {
 // (it would silently corrupt the per-thread streams); Trace.Validate
 // catches the same condition earlier for whole traces.
 func SplitByThread(accesses []Access, threads int) ([][]Access, error) {
-	var buf []Access
-	var parts [][]Access
-	return SplitByThreadInto(accesses, threads, &buf, &parts)
-}
-
-// SplitByThreadInto is SplitByThread reusing caller-provided buffers:
-// buf is the backing array every partition is carved from and parts the
-// slice-header array, both grown only when too small. In steady state
-// (repeated splits of same-or-smaller traces) it does not allocate. The
-// returned partitions alias *buf, so a later call with the same buffers
-// invalidates them.
-func SplitByThreadInto(accesses []Access, threads int, buf *[]Access, parts *[][]Access) ([][]Access, error) {
 	if threads <= 0 {
 		return nil, fmt.Errorf("trace: split into %d threads, want positive", threads)
 	}
-	// Counting pass so each partition is exactly sized. The counts live
-	// on the stack for the simulator's 1..64-core range.
-	var countsArr [64]int
-	var counts []int
-	if threads <= len(countsArr) {
-		counts = countsArr[:threads]
-	} else {
-		counts = make([]int, threads)
-	}
+	counts := make([]int, threads)
 	for i := range accesses {
 		tid := int(accesses[i].Tid)
 		if tid >= threads {
@@ -186,23 +166,9 @@ func SplitByThreadInto(accesses []Access, threads int, buf *[]Access, parts *[][
 		}
 		counts[tid]++
 	}
-	backing := *buf
-	if cap(backing) < len(accesses) {
-		backing = make([]Access, len(accesses))
-		*buf = backing
-	}
-	out := *parts
-	if cap(out) < threads {
-		out = make([][]Access, threads)
-		*parts = out
-	}
-	out = out[:threads]
-	// Carve zero-length, exactly-capped windows out of the backing array;
-	// the fill pass appends within capacity and never reallocates.
-	off := 0
-	for t := 0; t < threads; t++ {
-		out[t] = backing[off : off : off+counts[t]]
-		off += counts[t]
+	out := make([][]Access, threads)
+	for t, n := range counts {
+		out[t] = make([]Access, 0, n)
 	}
 	for _, a := range accesses {
 		out[a.Tid] = append(out[a.Tid], a)

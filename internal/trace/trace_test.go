@@ -129,41 +129,6 @@ func TestSplitByThreadRejectsOutOfRangeTid(t *testing.T) {
 	}
 }
 
-// TestSplitByThreadIntoReusesBuffers: the second split with the same
-// scratch must not grow the buffers and must produce the same partitions.
-func TestSplitByThreadIntoReusesBuffers(t *testing.T) {
-	tr := sampleTrace()
-	var buf []Access
-	var parts [][]Access
-	first, err := SplitByThreadInto(tr.Accesses, tr.Threads, &buf, &parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufCap, partsCap := cap(buf), cap(parts)
-	want := make([][]Access, len(first))
-	for i := range first {
-		want[i] = append([]Access(nil), first[i]...)
-	}
-	second, err := SplitByThreadInto(tr.Accesses, tr.Threads, &buf, &parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(buf) != bufCap || cap(parts) != partsCap {
-		t.Errorf("buffers grew on reuse: cap(buf) %d→%d, cap(parts) %d→%d",
-			bufCap, cap(buf), partsCap, cap(parts))
-	}
-	for i := range want {
-		if len(second[i]) != len(want[i]) {
-			t.Fatalf("thread %d: %d accesses on reuse, want %d", i, len(second[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if second[i][j] != want[i][j] {
-				t.Fatalf("thread %d access %d differs on reuse", i, j)
-			}
-		}
-	}
-}
-
 func TestCodecRoundTripSample(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
