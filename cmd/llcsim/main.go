@@ -135,9 +135,8 @@ func run(ctx context.Context, obs *cliutil.Observability, wl, llc, config string
 	if err != nil {
 		return err
 	}
-	tr, err := workload.Generate(profile, workload.Options{
-		Accesses: accesses, Threads: threads, Seed: seed,
-	})
+	genOpts := workload.Options{Accesses: accesses, Threads: threads, Seed: seed}
+	gen, err := workload.NewGenerator(profile, genOpts)
 	if err != nil {
 		return err
 	}
@@ -180,21 +179,16 @@ func run(ctx context.Context, obs *cliutil.Observability, wl, llc, config string
 	// Run through the engine (rather than system.Run directly) so the
 	// design point gets the full telemetry treatment: a simulate span, job
 	// metrics, system-level counters and a manifest design_point event.
-	genOpts := workload.Options{Accesses: accesses, Threads: threads, Seed: seed}
 	eng := engine.New(obs.EngineOptions()...)
 	obs.TrackEngine(eng)
-	r, err := eng.Run(ctx, engine.Job{
-		Workload:  wl,
-		TraceOpts: genOpts,
-		Config:    cfg,
-		Trace:     tr,
-	})
+	r, err := eng.Run(ctx, engine.StreamJob(profile, genOpts, cfg))
 	if err != nil {
 		return err
 	}
 
+	meta := gen.Meta()
 	fmt.Printf("%s on %s (%s, %d cores, %d accesses, %d threads)\n\n",
-		r.Workload, r.LLCName, config, cores, len(tr.Accesses), tr.Threads)
+		r.Workload, r.LLCName, config, cores, meta.Accesses, meta.Threads)
 	t := tablefmt.New("Result", "metric", "value")
 	t.AddRowf("execution time [ms]", r.TimeNS/1e6)
 	t.AddRowf("instructions", r.Instructions)

@@ -30,18 +30,9 @@ func runManifestTrial(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.Generate(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var jobs []engine.Job
 	for _, m := range reference.FixedCapacityModels()[:3] {
-		jobs = append(jobs, engine.Job{
-			Workload:  "cg",
-			TraceOpts: opts,
-			Config:    system.Gainestown(m),
-			Trace:     tr,
-		})
+		jobs = append(jobs, engine.StreamJob(p, opts, system.Gainestown(m)))
 	}
 	eng := engine.New(append(o.EngineOptions(), engine.WithParallelism(1))...)
 	if _, err := eng.RunAll(o.Context(context.Background()), jobs); err != nil {

@@ -25,16 +25,7 @@ func mtJobs(t *testing.T) []Job {
 				t.Fatal(err)
 			}
 			opts := workload.Options{Accesses: 20000, Threads: threads, Seed: 11}
-			tr, err := workload.Generate(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, Job{
-				Workload:  name,
-				TraceOpts: opts,
-				Config:    system.Gainestown(reference.SRAMBaseline()).WithCores(threads),
-				Trace:     tr,
-			})
+			jobs = append(jobs, StreamJob(p, opts, system.Gainestown(reference.SRAMBaseline()).WithCores(threads)))
 		}
 	}
 	return jobs

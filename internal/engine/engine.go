@@ -35,43 +35,34 @@ import (
 	"nvmllc/internal/workload"
 )
 
-// Job is one design point: an access trace and the machine configuration
+// Job is one design point: a trace source and the machine configuration
 // to simulate it on. Workload and TraceOpts identify the trace's
-// provenance and, with Config, form the cache key — callers must pass
-// the same Options the trace was generated with (a hand-built trace
-// that did not come from workload.Generate should disable caching via
-// NoCache).
-//
-// The trace arrives either materialized (Trace) or streamed (Source).
-// Both simulate through the same streaming path (a materialized trace is
-// read through a trace.TraceSource), so they produce byte-identical
-// results for the same access sequence, and the cache key does not
-// distinguish them: a streamed job can be answered by a cached result of
-// its materialized twin and vice versa.
+// provenance and, with Config, form the cache key — a Source that does
+// not replay workload.NewGenerator over (Workload, TraceOpts), such as a
+// hand-built trace wrapped in trace.NewTraceSource, must disable caching
+// via NoCache. StreamJob builds the generator-backed form.
 type Job struct {
 	// Workload is the trace/workload name.
 	Workload string
-	// TraceOpts are the generation options that produced Trace.
+	// TraceOpts are the generation options the Source replays.
 	TraceOpts workload.Options
 	// Config is the simulated machine.
 	Config system.Config
-	// Trace is the access trace to simulate.
-	Trace *trace.Trace
-	// Source, when Trace is nil, supplies the trace as a chunked stream:
-	// the factory is called once per actual simulation (cache hits skip
-	// it) and must return a fresh, unconsumed source each time — sources
-	// are single-pass and owned by the run (see system.RunStream). The
-	// engine holds O(chunk) access memory per worker instead of the whole
-	// trace.
+	// Source supplies the trace as a chunked stream: the factory is called
+	// once per actual simulation (cache hits skip it) and must return a
+	// fresh, unconsumed source each time — sources are single-pass and
+	// owned by the run (see system.RunStream). Generation happens inside
+	// the worker's simulate call, and jobs of one RunAll batch over the
+	// same (Workload, TraceOpts) materialize the trace once (share.go).
 	Source func() (trace.ChunkSource, error)
 	// NoCache forces a fresh simulation and keeps the result out of the
 	// cache (for traces whose provenance the key cannot capture).
 	NoCache bool
 }
 
-// StreamJob builds a streaming job for a named workload: the generator
-// is constructed per simulation from the same (profile, options) pair
-// the materialized form would use, so the job hits the same cache entry.
+// StreamJob builds the generator-backed job for a named workload: the
+// generator is constructed per simulation from the (profile, options)
+// pair the cache key names.
 func StreamJob(p workload.Profile, opts workload.Options, cfg system.Config) Job {
 	return Job{
 		Workload:  p.Name,
@@ -246,11 +237,14 @@ type Engine struct {
 	profMu   sync.Mutex
 	profiles map[string]*profEntry
 
-	// shares memoizes generated traces across jobs (share.go); tracePool
-	// recycles their materialization buffers.
+	// shares memoizes generated traces across jobs (share.go); traceBufs
+	// is the free list of their materialization buffers. It holds one
+	// buffer per worker, as many as can be generating at once: a batch's
+	// end returns all of its traces together, and keeping more would only
+	// hold their memory across garbage collections.
 	shareMu   sync.Mutex
 	shares    map[string]*shareEntry
-	tracePool sync.Pool
+	traceBufs chan *[]trace.Access
 
 	// scratch pools per-run simulator buffers (the trace split) across
 	// the worker pool, so steady-state simulation is allocation-free on
@@ -275,6 +269,7 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
+	e.traceBufs = make(chan *[]trace.Access, e.Workers())
 	return e
 }
 
@@ -434,17 +429,10 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 	var res *system.Result
 	var err error
 	var accesses uint64
-	switch {
-	case j.Trace != nil:
-		var src *trace.TraceSource
-		if src, err = trace.NewTraceSource(j.Trace); err == nil {
-			res, err = system.RunStreamWith(ctx, j.Config, src, scratch)
-		}
-		accesses = uint64(len(j.Trace.Accesses))
-	case j.Source != nil:
+	if j.Source != nil {
 		res, accesses, err = e.runSource(ctx, j, scratch)
-	default:
-		err = fmt.Errorf("engine: job %s on %s has neither a trace nor a source", j.Workload, j.LLCName())
+	} else {
+		err = fmt.Errorf("engine: job %s on %s has no trace source", j.Workload, j.LLCName())
 	}
 	wall := time.Since(start).Nanoseconds()
 	e.scratch.Put(scratch)

@@ -20,16 +20,17 @@ func testJob(t *testing.T, name string, opts workload.Options) Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.Generate(p, opts)
+	return StreamJob(p, opts, system.Gainestown(reference.SRAMBaseline()))
+}
+
+// jobAccesses is the trace length a job's source declares.
+func jobAccesses(t *testing.T, j Job) uint64 {
+	t.Helper()
+	src, err := j.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Job{
-		Workload:  name,
-		TraceOpts: opts,
-		Config:    system.Gainestown(reference.SRAMBaseline()),
-		Trace:     tr,
-	}
+	return uint64(src.Meta().Accesses)
 }
 
 func smallOpts() workload.Options {
@@ -54,8 +55,8 @@ func TestRunCachesSecondCall(t *testing.T) {
 	if r1 != r2 {
 		t.Error("cache did not return the memoized result")
 	}
-	if s.Accesses != uint64(len(j.Trace.Accesses)) {
-		t.Errorf("accesses = %d, want %d (cache hits must not recount)", s.Accesses, len(j.Trace.Accesses))
+	if want := jobAccesses(t, j); s.Accesses != want {
+		t.Errorf("accesses = %d, want %d (cache hits must not recount)", s.Accesses, want)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 )
 
 // ProfileJob is one profiling request: a trace plus the geometry cover
-// to profile it over. Trace/Source/NoCache behave exactly as on Job.
+// to profile it over. Source and NoCache behave exactly as on Job.
 type ProfileJob struct {
 	// Workload is the trace/workload name.
 	Workload string
@@ -36,10 +36,8 @@ type ProfileJob struct {
 	// L1/L2 levels first (profile.RunFiltered), so the profiled stream
 	// is the one the LLC sees; nil profiles the raw stream.
 	Hierarchy *profile.Hierarchy
-	// Trace is the materialized trace to profile.
-	Trace *trace.Trace
-	// Source, when Trace is nil, supplies the trace as a chunked stream
-	// (same contract as Job.Source).
+	// Source supplies the trace as a chunked stream (same contract as
+	// Job.Source).
 	Source func() (trace.ChunkSource, error)
 	// NoCache forces a fresh profiling pass and keeps it out of the
 	// cache.
@@ -187,18 +185,11 @@ func runProfilePass(ctx context.Context, pj ProfileJob, src trace.ChunkSource, s
 	return profile.Run(ctx, src, pj.Config, sc)
 }
 
-// profileSource obtains the job's stream — materialized trace,
-// share-layer slice, or the job's own source — and profiles it.
+// profileSource obtains the job's stream — share-layer slice or the
+// job's own source — and profiles it.
 func (e *Engine) profileSource(ctx context.Context, pj ProfileJob, sc *profile.Scratch) (*profile.Profile, error) {
-	if pj.Trace != nil {
-		src, err := trace.NewTraceSource(pj.Trace)
-		if err != nil {
-			return nil, err
-		}
-		return runProfilePass(ctx, pj, src, sc)
-	}
 	if pj.Source == nil {
-		return nil, fmt.Errorf("engine: profile job %s has neither a trace nor a source", pj.Workload)
+		return nil, fmt.Errorf("engine: profile job %s has no trace source", pj.Workload)
 	}
 	src, err := pj.Source()
 	if err != nil {

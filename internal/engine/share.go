@@ -18,7 +18,8 @@ package engine
 // duration, and RunAll pins every distinct share key up front so a
 // serialized worker pool (parallelism 1) still generates once per sweep
 // instead of once per job. When the last reference drops, the buffer
-// returns to a sync.Pool for the next sweep.
+// returns to the engine's free list (Engine.traceBufs) for the next
+// sweep, or to the garbage collector when the list is full.
 
 import (
 	"context"
@@ -59,11 +60,10 @@ type shareEntry struct {
 }
 
 // shareKey identifies the trace a job will stream, independent of the
-// machine config. Only generator-backed jobs are shareable: a NoCache
-// job's provenance is by definition not captured by (Workload,
-// TraceOpts), and a materialized job has nothing to generate.
+// machine config. A NoCache job is not shareable: its provenance is by
+// definition not captured by (Workload, TraceOpts).
 func shareKey(j Job) (string, bool) {
-	if j.NoCache || j.Trace != nil || j.Source == nil {
+	if j.NoCache || j.Source == nil {
 		return "", false
 	}
 	return fmt.Sprintf("%s|%+v", j.Workload, j.TraceOpts), true
@@ -108,7 +108,10 @@ func (e *Engine) releaseShare(key string, sh *shareEntry) {
 	if sh.accs != nil {
 		buf := sh.accs[:0]
 		sh.accs = nil
-		e.tracePool.Put(&buf)
+		select {
+		case e.traceBufs <- &buf:
+		default: // the free list is full
+		}
 	}
 }
 
@@ -155,8 +158,10 @@ func (e *Engine) materialize(sh *shareEntry, src trace.ChunkSource) bool {
 		meta := src.Meta()
 		n := meta.Accesses
 		var buf []trace.Access
-		if p, _ := e.tracePool.Get().(*[]trace.Access); p != nil {
+		select {
+		case p := <-e.traceBufs:
 			buf = *p
+		default:
 		}
 		if int64(cap(buf)) < n {
 			buf = make([]trace.Access, n)

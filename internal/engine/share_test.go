@@ -130,8 +130,8 @@ func TestTraceSharingShareLimit(t *testing.T) {
 	}
 }
 
-// TestTraceSharingSkipsIneligibleJobs: NoCache jobs and materialized
-// jobs never participate in sharing.
+// TestTraceSharingSkipsIneligibleJobs: NoCache jobs, whose provenance
+// the share key cannot capture, never participate in sharing.
 func TestTraceSharingSkipsIneligibleJobs(t *testing.T) {
 	var gens atomic.Uint64
 	jobs := sweepJobs(t, 2, &gens)
@@ -166,5 +166,32 @@ func TestTraceSharingWithResultCache(t *testing.T) {
 	}
 	if st.TraceGens != 1 || st.TraceShared != 3 {
 		t.Errorf("TraceGens=%d TraceShared=%d, want 1/3 (cache hits never reach the sharing layer)", st.TraceGens, st.TraceShared)
+	}
+}
+
+// TestTraceBuffersRecycleUpToWorkers: a batch's end hands back every
+// shared trace at once, and the engine keeps at most one buffer per
+// worker for the next batch.
+func TestTraceBuffersRecycleUpToWorkers(t *testing.T) {
+	p, err := workload.ByName("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sram := system.Gainestown(reference.SRAMBaseline()).WithCores(4)
+	nvm := system.Gainestown(reference.FixedCapacityModels()[1]).WithCores(4)
+	var jobs []Job
+	for seed := int64(1); seed <= 4; seed++ {
+		opts := workload.Options{Accesses: 5000, Threads: 4, Seed: seed}
+		jobs = append(jobs, StreamJob(p, opts, sram), StreamJob(p, opts, nvm))
+	}
+	e := New(WithParallelism(2))
+	if _, err := e.RunAll(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.TraceGens != 4 {
+		t.Fatalf("TraceGens = %d, want 4", st.TraceGens)
+	}
+	if n := len(e.traceBufs); n != e.Workers() {
+		t.Errorf("free list holds %d buffers after a 4-trace batch, want %d (one per worker)", n, e.Workers())
 	}
 }

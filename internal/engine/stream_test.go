@@ -1,10 +1,10 @@
 package engine
 
-// Engine-level acceptance tests for the streaming trace pipeline: a
-// streamed job must produce byte-identical results to its materialized
-// twin, share its cache key (so the two forms deduplicate against each
-// other), and every result the engine serves must match its committed
-// digest.
+// Engine-level acceptance tests for the streaming trace pipeline: a job
+// streamed from its generator must produce byte-identical results to the
+// same trace materialized first and replayed through trace.TraceSource,
+// share its cache key (so the two forms deduplicate against each other),
+// and every result the engine serves must match its committed digest.
 
 import (
 	"bytes"
@@ -17,29 +17,28 @@ import (
 	"nvmllc/internal/workload"
 )
 
-// streamTwin converts a materialized job into its streaming form.
-func streamTwin(t *testing.T, j Job) Job {
+// replayTwin returns j with a Source that replays the materialized trace
+// of j's workload and options instead of running the generator.
+func replayTwin(t *testing.T, j Job) Job {
 	t.Helper()
 	p, err := workload.ByName(j.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return StreamJob(p, j.TraceOpts, j.Config)
+	tr, err := workload.Generate(p, j.TraceOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Source = func() (trace.ChunkSource, error) { return trace.NewTraceSource(tr) }
+	return j
 }
 
 // TestEngineStreamEquivalence: for every design point in the grid, the
-// streamed and materialized forms must agree byte-for-byte and hash to
-// the same cache key.
+// generator-backed and replayed forms must agree byte-for-byte.
 func TestEngineStreamEquivalence(t *testing.T) {
 	e := New(WithoutCache())
-	for _, j := range mtJobs(t) {
-		sj := streamTwin(t, j)
-		k1, c1 := Key(j)
-		k2, c2 := Key(sj)
-		if !c1 || !c2 || k1 != k2 {
-			t.Fatalf("%s: cache keys differ across forms: %q (cacheable=%v) vs %q (cacheable=%v)", j.Workload, k1, c1, k2, c2)
-		}
-		whole, err := e.Run(context.Background(), j)
+	for _, sj := range mtJobs(t) {
+		whole, err := e.Run(context.Background(), replayTwin(t, sj))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,22 +47,21 @@ func TestEngineStreamEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wb, sb := marshal(t, whole), marshal(t, streamed); !bytes.Equal(wb, sb) {
-			t.Errorf("%s/%d threads: streamed result diverged\nstream: %s\nwhole:  %s", j.Workload, j.TraceOpts.Threads, sb, wb)
+			t.Errorf("%s/%d threads: streamed result diverged\nstream: %s\nwhole:  %s", sj.Workload, sj.TraceOpts.Threads, sb, wb)
 		}
 	}
 }
 
-// TestEngineStreamCacheDedup: a streamed job and its materialized twin
-// must share one cache entry — the second form is answered from the
-// cache without calling the source factory or simulating again.
+// TestEngineStreamCacheDedup: a generator-backed job and its replayed
+// twin must share one cache entry — the second form is answered from the
+// cache without calling its source factory or simulating again.
 func TestEngineStreamCacheDedup(t *testing.T) {
 	e := New()
-	jobs := mtJobs(t)
-	j := jobs[0]
+	sj := mtJobs(t)[0]
+	j := replayTwin(t, sj)
 	if _, err := e.Run(context.Background(), j); err != nil {
 		t.Fatal(err)
 	}
-	sj := streamTwin(t, j)
 	factoryCalls := 0
 	inner := sj.Source
 	sj.Source = func() (trace.ChunkSource, error) {
@@ -91,15 +89,11 @@ func TestEngineStreamCacheDedup(t *testing.T) {
 }
 
 // TestEngineStreamAccessesCounter: the engine's simulated-access counter
-// must come from the stream's Meta for streamed jobs.
+// must come from the stream's Meta.
 func TestEngineStreamAccessesCounter(t *testing.T) {
 	e := New(WithoutCache())
-	sj := streamTwin(t, mtJobs(t)[0])
-	src, err := sj.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(src.Meta().Accesses)
+	sj := mtJobs(t)[0]
+	want := jobAccesses(t, sj)
 	if _, err := e.Run(context.Background(), sj); err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +102,15 @@ func TestEngineStreamAccessesCounter(t *testing.T) {
 	}
 }
 
-// TestEngineJobWithoutTraceOrSource: a job carrying neither form must
+// TestEngineJobWithoutTraceOrSource: a job carrying no trace source must
 // fail cleanly, not panic.
 func TestEngineJobWithoutTraceOrSource(t *testing.T) {
 	e := New()
 	j := mtJobs(t)[0]
-	j.Trace = nil
+	j.Source = nil
 	j.NoCache = true
 	if _, err := e.Run(context.Background(), j); err == nil {
-		t.Fatal("job with neither trace nor source must error")
+		t.Fatal("job without a source must error")
 	}
 	if e.Stats().Failed != 1 {
 		t.Errorf("Failed = %d, want 1", e.Stats().Failed)

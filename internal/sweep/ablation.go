@@ -26,7 +26,7 @@ type AblationRow struct {
 // AblationSuite evaluates every modeled design lever on one (workload,
 // NVM) pair: the DESIGN.md ablations in one table. The baseline is the
 // paper's configuration (LRU, writes off the critical path, no bypass,
-// pure NVM LLC).
+// pure NVM LLC). All seven points run as one batch over one trace.
 func AblationSuite(ctx context.Context, workloadName, llcName string, cfg Config) ([]AblationRow, error) {
 	ctx, span := cfg.startSpan(ctx, "ablation", "workload", workloadName, "llc", llcName)
 	defer span.End()
@@ -38,11 +38,6 @@ func AblationSuite(ctx context.Context, workloadName, llcName string, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
-	eng := cfg.engineOrNew()
 
 	points := []struct {
 		name   string
@@ -61,21 +56,21 @@ func AblationSuite(ctx context.Context, workloadName, llcName string, cfg Config
 		{"coherence off", func(c *system.Config) { c.DisableCoherence = true }},
 	}
 
-	rows := make([]AblationRow, 0, len(points))
-	for _, pt := range points {
+	jobs := make([]engine.Job, len(points))
+	for i, pt := range points {
 		sysCfg := system.Gainestown(model)
 		if pt.mutate != nil {
 			pt.mutate(&sysCfg)
 		}
-		r, err := eng.Run(ctx, engine.Job{
-			Workload:  workloadName,
-			TraceOpts: cfg.Opts,
-			Config:    sysCfg,
-			Trace:     tr,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sweep: ablation %q: %w", pt.name, err)
-		}
+		jobs[i] = engine.StreamJob(p, cfg.Opts, sysCfg)
+	}
+	results, err := cfg.engineOrNew().RunAll(ctx, jobs)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: ablation suite: %w", err)
+	}
+	rows := make([]AblationRow, 0, len(points))
+	for i, pt := range points {
+		r := results[i]
 		rows = append(rows, AblationRow{
 			Name:          pt.name,
 			TimeMS:        r.TimeNS / 1e6,

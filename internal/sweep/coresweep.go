@@ -3,11 +3,11 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"nvmllc/internal/engine"
+	"nvmllc/internal/nvsim"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
-	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -33,6 +33,8 @@ var DefaultCoreCounts = []int{1, 2, 4, 8, 16, 32}
 
 // CoreSweep runs the Section V-C study: one multi-threaded workload across
 // core counts for every fixed-area LLC model, normalized to 1-core SRAM.
+// Every core count, and the 1-core SRAM baseline when cores lacks 1, is
+// one grid point of a single batch.
 func CoreSweep(ctx context.Context, name string, cores []int, cfg Config) (*CoreSweepResult, error) {
 	ctx, span := cfg.startSpan(ctx, "core_sweep", "workload", name)
 	defer span.End()
@@ -47,54 +49,31 @@ func CoreSweep(ctx context.Context, name string, cores []int, cfg Config) (*Core
 		cores = DefaultCoreCounts
 	}
 	models := reference.FixedAreaModels()
-	eng := cfg.engineOrNew()
 	res := &CoreSweepResult{Workload: name, Cores: cores}
 	for _, m := range models {
 		res.LLCs = append(res.LLCs, m.Name)
 	}
 
-	var baseline *system.Result
+	points := make([]gridPoint, 0, len(cores)+1)
 	for _, n := range cores {
-		opts := cfg.Opts
-		opts.Threads = n
-		tr, err := workload.Generate(p, opts)
-		if err != nil {
-			return nil, err
-		}
-		traces := map[string]*trace.Trace{name: tr}
-		raw, err := runPoints(ctx, eng, models, []string{name}, traces, opts, cfg, n)
-		if err != nil {
-			return nil, err
-		}
-		if n == cores[0] {
-			// Establish the single-core SRAM baseline from the first swept
-			// count if it is 1; otherwise simulate it explicitly.
-			if cores[0] == 1 {
-				baseline = raw[name]["SRAM"]
-			} else {
-				opts1 := cfg.Opts
-				opts1.Threads = 1
-				tr1, err := workload.Generate(p, opts1)
-				if err != nil {
-					return nil, err
-				}
-				sysCfg := system.Gainestown(reference.SRAMBaseline()).WithCores(1)
-				sysCfg.ModelWriteContention = cfg.WriteContention
-				baseline, err = eng.Run(ctx, engine.Job{
-					Workload:  name,
-					TraceOpts: opts1,
-					Config:    sysCfg,
-					Trace:     tr1,
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
+		points = append(points, gridPoint{wl: p, opts: threadOpts(cfg.Opts, n), cores: n, models: models})
+	}
+	base := slices.Index(cores, 1)
+	if base < 0 {
+		points = append(points, gridPoint{wl: p, opts: threadOpts(cfg.Opts, 1), cores: 1,
+			models: []nvsim.LLCModel{reference.SRAMBaseline()}})
+		base = len(points) - 1
+	}
+	raw, err := runPoints(ctx, cfg.engineOrNew(), points, cfg)
+	if err != nil {
+		return nil, err
+	}
+	baseline := raw[base]["SRAM"]
+	for i, n := range cores {
 		var sp, en []float64
 		var rawRow []*system.Result
 		for _, llc := range res.LLCs {
-			r := raw[name][llc]
+			r := raw[i][llc]
 			if r == nil {
 				return nil, fmt.Errorf("sweep: core sweep missing result for %s on %s at %d cores", name, llc, n)
 			}
@@ -107,6 +86,12 @@ func CoreSweep(ctx context.Context, name string, cores []int, cfg Config) (*Core
 		res.Raw = append(res.Raw, rawRow)
 	}
 	return res, nil
+}
+
+// threadOpts is opts with the thread count set.
+func threadOpts(opts workload.Options, threads int) workload.Options {
+	opts.Threads = threads
+	return opts
 }
 
 // CoreSweepWorkloads are the workloads Section V-C discusses.

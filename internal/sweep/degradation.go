@@ -112,10 +112,6 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
 	models := reference.FixedCapacityModels()
 	eng := cfg.engineOrNew()
 
@@ -130,12 +126,7 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 		sysCfg := system.Gainestown(model)
 		sysCfg.ModelWriteContention = cfg.WriteContention
 		sysCfg.TrackWear = true
-		baseJobs = append(baseJobs, engine.Job{
-			Workload:  opts.Workload,
-			TraceOpts: cfg.Opts,
-			Config:    sysCfg,
-			Trace:     tr,
-		})
+		baseJobs = append(baseJobs, engine.StreamJob(p, cfg.Opts, sysCfg))
 	}
 	baseResults, err := eng.RunAll(ctx, baseJobs)
 	if err != nil {
@@ -198,18 +189,14 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 		if err != nil {
 			return nil, err
 		}
-		h := hierarchyFor(tmpl)
-		prof, err = eng.RunProfile(ctx, engine.ProfileJob{
-			Workload:  opts.Workload,
-			TraceOpts: cfg.Opts,
-			Config: profile.Config{
-				BlockBytes: tmpl.BlockBytes,
-				SetCounts:  cache.SetCountsOf(geoms),
-				MaxWays:    max(tmpl.LLCWays, est.MaxWays),
-			},
-			Hierarchy: &h,
-			Trace:     tr,
+		pj := engine.StreamProfileJob(p, cfg.Opts, profile.Config{
+			BlockBytes: tmpl.BlockBytes,
+			SetCounts:  cache.SetCountsOf(geoms),
+			MaxWays:    max(tmpl.LLCWays, est.MaxWays),
 		})
+		h := hierarchyFor(tmpl)
+		pj.Hierarchy = &h
+		prof, err = eng.RunProfile(ctx, pj)
 		if err != nil {
 			return nil, err
 		}
@@ -275,12 +262,7 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 				// simulation — the flat curve costs one run.
 				sysCfg.Fault = fc
 			}
-			agedJobs = append(agedJobs, engine.Job{
-				Workload:  opts.Workload,
-				TraceOpts: cfg.Opts,
-				Config:    sysCfg,
-				Trace:     tr,
-			})
+			agedJobs = append(agedJobs, engine.StreamJob(p, cfg.Opts, sysCfg))
 			keys = append(keys, pointKey{ci, ai})
 		}
 	}

@@ -42,7 +42,6 @@ import (
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/tablefmt"
-	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -74,42 +73,62 @@ func (e *Estimator) pins(name string) bool {
 	return false
 }
 
-// runPoints evaluates the (workload × model) grid: exactly via runAll
-// when no estimator is configured (the default path, unchanged), or via
-// the profile-driven fast path.
-func runPoints(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]*trace.Trace, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
+// runPoints evaluates a design-point grid: exactly via runAll when no
+// estimator is configured (the default path), or via the profile-driven
+// fast path.
+func runPoints(ctx context.Context, eng *engine.Engine, points []gridPoint, cfg Config) ([]map[string]*system.Result, error) {
 	if cfg.Estimator == nil {
-		return runAll(ctx, eng, models, names, traces, genOpts, cfg, coresOverride)
+		return runAll(ctx, eng, points, cfg)
 	}
-	return runEstimated(ctx, eng, models, names, traces, genOpts, cfg, coresOverride)
+	return runEstimated(ctx, eng, points, cfg)
 }
 
-// runEstimated is the fast-path grid: exact simulation for the SRAM
-// anchor and pinned models, one filtered reuse-distance profile per
-// workload, and analytical estimates for everything else. The returned
-// map has runAll's shape and partial-result semantics.
-func runEstimated(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]*trace.Trace, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
+// runEstimated is the fast-path grid: one exact batch for every point's
+// SRAM anchor and pinned models, then per point one filtered
+// reuse-distance profile and analytical estimates for everything else.
+// The result has runAll's shape and partial-result semantics.
+func runEstimated(ctx context.Context, eng *engine.Engine, points []gridPoint, cfg Config) ([]map[string]*system.Result, error) {
 	est := cfg.Estimator
-	var exact, approx []nvsim.LLCModel
-	for _, m := range models {
-		if est.pins(m.Name) {
-			exact = append(exact, m)
-		} else {
-			approx = append(approx, m)
+	exactPts := make([]gridPoint, len(points))
+	approx := make([][]nvsim.LLCModel, len(points))
+	for i, pt := range points {
+		exactPts[i] = pt
+		exactPts[i].models = nil
+		for _, m := range pt.models {
+			if est.pins(m.Name) {
+				exactPts[i].models = append(exactPts[i].models, m)
+			} else {
+				approx[i] = append(approx[i], m)
+			}
 		}
 	}
-	raw, runErr := runAll(ctx, eng, exact, names, traces, genOpts, cfg, coresOverride)
+	raw, runErr := runAll(ctx, eng, exactPts, cfg)
 	errs := []error{runErr}
-	if len(approx) == 0 {
-		return raw, runErr
+	for i, pt := range points {
+		if len(approx[i]) == 0 {
+			continue
+		}
+		base := raw[i]["SRAM"]
+		if base == nil {
+			// The anchor failed; runAll already reported why.
+			continue
+		}
+		if err := estimatePoint(ctx, eng, est, pt, approx[i], base, raw[i]); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	anchorModel, err := reference.ModelByName(models, "SRAM")
-	if err != nil {
-		return raw, errors.Join(append(errs, fmt.Errorf("sweep: estimator needs the SRAM anchor: %w", err))...)
-	}
+	return raw, errors.Join(errs...)
+}
 
-	// One profile geometry cover for the whole grid: the distinct set
-	// counts of the estimated models at the sweep's fixed associativity.
+// estimatePoint profiles one grid point's trace over the geometry cover
+// of its estimated models (their distinct set counts at the sweep's
+// fixed associativity) and fills raw with one estimate per model,
+// anchored on the exact SRAM result base.
+func estimatePoint(ctx context.Context, eng *engine.Engine, est *Estimator, pt gridPoint, approx []nvsim.LLCModel, base *system.Result, raw map[string]*system.Result) error {
+	anchorModel, err := reference.ModelByName(pt.models, "SRAM")
+	if err != nil {
+		return fmt.Errorf("sweep: estimator needs the SRAM anchor: %w", err)
+	}
 	tmpl := system.Gainestown(anchorModel)
 	caps := make([]int64, 0, len(approx))
 	for _, m := range approx {
@@ -117,47 +136,34 @@ func runEstimated(ctx context.Context, eng *engine.Engine, models []nvsim.LLCMod
 	}
 	geoms, err := cache.EnumerateGeoms(caps, tmpl.BlockBytes, tmpl.LLCWays)
 	if err != nil {
-		return raw, errors.Join(append(errs, err)...)
+		return err
 	}
-	pc := profile.Config{
+	pj := engine.StreamProfileJob(pt.wl, pt.opts, profile.Config{
 		BlockBytes: tmpl.BlockBytes,
 		SetCounts:  cache.SetCountsOf(geoms),
 		MaxWays:    max(tmpl.LLCWays, est.MaxWays),
-	}
+	})
 	h := hierarchyFor(tmpl)
-
-	for _, n := range names {
-		base := raw[n]["SRAM"]
-		if base == nil {
-			// The anchor failed; runAll already reported why.
-			continue
-		}
-		prof, err := eng.RunProfile(ctx, engine.ProfileJob{
-			Workload:  n,
-			TraceOpts: genOpts,
-			Config:    pc,
-			Hierarchy: &h,
-			Trace:     traces[n],
-		})
-		if err != nil {
-			errs = append(errs, fmt.Errorf("sweep: profiling %s: %w", n, err))
-			continue
-		}
-		for _, m := range approx {
-			sets, err := cache.SetsFor(m.CapacityBytes, tmpl.BlockBytes, tmpl.LLCWays)
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			r, err := estimateResult(base, anchorModel, prof, m, sets, tmpl.LLCWays, float64(tmpl.LLCWays), tmpl.L2LatencyNS)
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			raw[n][m.Name] = r
-		}
+	pj.Hierarchy = &h
+	prof, err := eng.RunProfile(ctx, pj)
+	if err != nil {
+		return fmt.Errorf("sweep: profiling %s: %w", pt.wl.Name, err)
 	}
-	return raw, errors.Join(errs...)
+	var errs []error
+	for _, m := range approx {
+		sets, err := cache.SetsFor(m.CapacityBytes, tmpl.BlockBytes, tmpl.LLCWays)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		r, err := estimateResult(base, anchorModel, prof, m, sets, tmpl.LLCWays, float64(tmpl.LLCWays), tmpl.L2LatencyNS)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		raw[m.Name] = r
+	}
+	return errors.Join(errs...)
 }
 
 // hierarchyFor extracts the private-level geometry the profile filter
@@ -304,7 +310,7 @@ type EstimateRow struct {
 	PredHits, ExactHits       uint64
 	PredHitRate, ExactHitRate float64
 	// AbsRateErr is |predicted − exact| hit rate, in percentage points.
-	AbsRateErr float64
+	AbsRateErr              float64
 	PredMPKI, ExactMPKI     float64
 	PredTimeNS, ExactTimeNS float64
 	// TimeErrPct is the signed relative execution-time error in percent.
@@ -346,10 +352,6 @@ func Estimate(ctx context.Context, cfg Config, opts EstimateOptions) (*EstimateS
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
 	caps, err := cache.CapacityLadder(opts.MaxCapacityBytes, opts.Points)
 	if err != nil {
 		return nil, err
@@ -374,7 +376,7 @@ func Estimate(ctx context.Context, cfg Config, opts EstimateOptions) (*EstimateS
 	for i, m := range models {
 		sysCfg := system.Gainestown(m)
 		sysCfg.ModelWriteContention = cfg.WriteContention
-		jobs[i] = engine.Job{Workload: opts.Workload, TraceOpts: cfg.Opts, Config: sysCfg, Trace: tr}
+		jobs[i] = engine.StreamJob(p, cfg.Opts, sysCfg)
 	}
 	exact, err := eng.RunAll(ctx, jobs)
 	if err != nil {
@@ -387,23 +389,19 @@ func Estimate(ctx context.Context, cfg Config, opts EstimateOptions) (*EstimateS
 	if err != nil {
 		return nil, err
 	}
-	h := hierarchyFor(tmpl)
-	prof, err := eng.RunProfile(ctx, engine.ProfileJob{
-		Workload:  opts.Workload,
-		TraceOpts: cfg.Opts,
-		Config: profile.Config{
-			BlockBytes: tmpl.BlockBytes,
-			SetCounts:  cache.SetCountsOf(geoms),
-			MaxWays:    tmpl.LLCWays,
-		},
-		Hierarchy: &h,
-		Trace:     tr,
+	pj := engine.StreamProfileJob(p, cfg.Opts, profile.Config{
+		BlockBytes: tmpl.BlockBytes,
+		SetCounts:  cache.SetCountsOf(geoms),
+		MaxWays:    tmpl.LLCWays,
 	})
+	h := hierarchyFor(tmpl)
+	pj.Hierarchy = &h
+	prof, err := eng.RunProfile(ctx, pj)
 	if err != nil {
 		return nil, err
 	}
 
-	study := &EstimateStudy{Workload: opts.Workload, Threads: tr.Threads}
+	study := &EstimateStudy{Workload: opts.Workload, Threads: prof.Threads}
 	for i, c := range caps {
 		sets, err := cache.SetsFor(c, tmpl.BlockBytes, tmpl.LLCWays)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"nvmllc/internal/charfw"
 	"nvmllc/internal/endurance"
 	"nvmllc/internal/engine"
+	"nvmllc/internal/nvsim"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/workload"
@@ -31,46 +32,51 @@ type LifetimeStudy struct {
 	Panels []*charfw.Panel
 }
 
-// Lifetime runs the study.
+// Lifetime runs the study: every (LLC, workload) point in one batch.
 func Lifetime(ctx context.Context, cfg Config, llcs []string) (*LifetimeStudy, error) {
 	ctx, span := cfg.startSpan(ctx, "lifetime")
 	defer span.End()
 	if len(llcs) == 0 {
 		llcs = []string{"Kang_P", "Chung_S", "Zhang_R"}
 	}
-	models := reference.FixedCapacityModels()
-	names := workload.CharacterizedNames()
-	eng := cfg.engineOrNew()
-
-	study := &LifetimeStudy{}
-	fw := charfw.FromFeatureMap(reference.PaperFeatures())
-	for _, llcName := range llcs {
-		model, err := reference.ModelByName(models, llcName)
+	all := reference.FixedCapacityModels()
+	models := make([]nvsim.LLCModel, len(llcs))
+	for i, llcName := range llcs {
+		m, err := reference.ModelByName(all, llcName)
 		if err != nil {
 			return nil, err
 		}
+		models[i] = m
+	}
+	names := workload.CharacterizedNames()
+	profiles := make([]workload.Profile, len(names))
+	for i, wlName := range names {
+		p, err := workload.ByName(wlName)
+		if err != nil {
+			return nil, err
+		}
+		profiles[i] = p
+	}
+	jobs := make([]engine.Job, 0, len(models)*len(profiles))
+	for _, model := range models {
+		sysCfg := system.Gainestown(model)
+		sysCfg.ModelWriteContention = cfg.WriteContention
+		sysCfg.TrackWear = true
+		for _, p := range profiles {
+			jobs = append(jobs, engine.StreamJob(p, cfg.Opts, sysCfg))
+		}
+	}
+	results, err := cfg.engineOrNew().RunAll(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	study := &LifetimeStudy{}
+	fw := charfw.FromFeatureMap(reference.PaperFeatures())
+	for mi, model := range models {
 		lifeByWorkload := map[string]float64{}
-		for _, wlName := range names {
-			p, err := workload.ByName(wlName)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := workload.Generate(p, cfg.Opts)
-			if err != nil {
-				return nil, err
-			}
-			sysCfg := system.Gainestown(model)
-			sysCfg.ModelWriteContention = cfg.WriteContention
-			sysCfg.TrackWear = true
-			r, err := eng.Run(ctx, engine.Job{
-				Workload:  wlName,
-				TraceOpts: cfg.Opts,
-				Config:    sysCfg,
-				Trace:     tr,
-			})
-			if err != nil {
-				return nil, err
-			}
+		for wi, wlName := range names {
+			r := results[mi*len(names)+wi]
 			est, err := endurance.Estimate(r, endurance.Options{Class: model.Class})
 			if err != nil {
 				return nil, err
@@ -90,7 +96,7 @@ func Lifetime(ctx context.Context, cfg Config, llcs []string) (*LifetimeStudy, e
 			}
 		}
 		panel, err := fw.PanelFor(ctx, names, charfw.Targets{
-			Name:    llcName + " wear rate",
+			Name:    model.Name + " wear rate",
 			Energy:  rateByWorkload,
 			Speedup: rateByWorkload,
 		})

@@ -1,6 +1,6 @@
 // Package sweep is the experiment harness that regenerates the paper's
-// evaluation artifacts: it generates each benchmark's trace, simulates it
-// against every LLC model in both the fixed-capacity and fixed-area
+// evaluation artifacts: it simulates each benchmark's trace against
+// every LLC model in both the fixed-capacity and fixed-area
 // configurations (Section V), normalizes to the SRAM baseline, sweeps core
 // counts (Section V-C), and feeds the results through the correlation
 // framework (Section VI, Figure 4).
@@ -9,7 +9,11 @@
 // point takes a context.Context first (cancellation aborts in-flight
 // simulations promptly) and Config can carry a shared Engine so repeated
 // design points — most prominently the SRAM baseline shared by every
-// figure — are simulated exactly once across calls.
+// figure — are simulated exactly once across calls. Each study submits
+// its design points as generator-backed jobs (engine.StreamJob), in as
+// few RunAll batches as its data dependencies allow: the engine's
+// workers generate the traces, each distinct trace once per batch, and a
+// design point answered from the cache generates nothing.
 package sweep
 
 import (
@@ -22,7 +26,6 @@ import (
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/telemetry"
-	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -182,24 +185,19 @@ func RunFigure(ctx context.Context, title string, models []nvsim.LLCModel, names
 		return nil, fmt.Errorf("sweep: model set lacks the SRAM baseline")
 	}
 
-	// Generate traces serially (cheap) so simulations can share them.
-	traces := make(map[string]*trace.Trace, len(names))
+	points := make([]gridPoint, 0, len(names))
 	for _, name := range names {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := workload.Generate(p, cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		traces[name] = tr
+		points = append(points, gridPoint{wl: p, opts: cfg.Opts, models: models})
 	}
-
-	raw, runErr := runPoints(ctx, cfg.engineOrNew(), models, names, traces, cfg.Opts, cfg, 0)
+	rows, runErr := runPoints(ctx, cfg.engineOrNew(), points, cfg)
+	raw := make(map[string]map[string]*system.Result, len(names))
+	for i, name := range names {
+		raw[name] = rows[i]
+	}
 
 	fig := newFigureResult(title, models, raw)
 	for _, w := range names {
@@ -232,38 +230,56 @@ func RunFigure(ctx context.Context, title string, models []nvsim.LLCModel, names
 	return fig, nil
 }
 
-// runAll simulates every (workload, model) pair through the engine.
-// coresOverride > 0 forces the core count (core sweep); otherwise the
-// Gainestown quad-core is used. genOpts must be the workload.Options the
-// traces were generated with (they key the engine's cache).
+// gridPoint is one trace of a design-point grid: workload wl generated
+// with opts, simulated against every model on cores cores (0 keeps the
+// Gainestown quad-core).
+type gridPoint struct {
+	wl     workload.Profile
+	opts   workload.Options
+	cores  int
+	models []nvsim.LLCModel
+}
+
+// config is the simulated machine for one of the point's models.
+func (pt gridPoint) config(m nvsim.LLCModel, cfg Config) system.Config {
+	sysCfg := system.Gainestown(m)
+	sysCfg.ModelWriteContention = cfg.WriteContention
+	if pt.cores > 0 {
+		sysCfg = sysCfg.WithCores(pt.cores)
+	}
+	return sysCfg
+}
+
+// runAll simulates every (point, model) pair as one engine batch. Jobs
+// are submitted model by model, so the workers' first jobs generate
+// distinct traces side by side and later ones replay them.
 //
-// The returned map holds every design point that completed, even when the
-// joined error is non-nil — callers decide what to do with partial grids.
-func runAll(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]*trace.Trace, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
-	jobs := make([]engine.Job, 0, len(names)*len(models))
-	for _, n := range names {
-		for _, m := range models {
-			sysCfg := system.Gainestown(m)
-			sysCfg.ModelWriteContention = cfg.WriteContention
-			if coresOverride > 0 {
-				sysCfg = sysCfg.WithCores(coresOverride)
+// The returned maps, aligned with points and keyed by LLC name, hold
+// every design point that completed, even when the joined error is
+// non-nil — callers decide what to do with partial grids.
+func runAll(ctx context.Context, eng *engine.Engine, points []gridPoint, cfg Config) ([]map[string]*system.Result, error) {
+	most := 0
+	for _, pt := range points {
+		most = max(most, len(pt.models))
+	}
+	var jobs []engine.Job
+	var owner []int // jobs[i] belongs to points[owner[i]]
+	for mi := 0; mi < most; mi++ {
+		for pi, pt := range points {
+			if mi < len(pt.models) {
+				jobs = append(jobs, engine.StreamJob(pt.wl, pt.opts, pt.config(pt.models[mi], cfg)))
+				owner = append(owner, pi)
 			}
-			jobs = append(jobs, engine.Job{
-				Workload:  n,
-				TraceOpts: genOpts,
-				Config:    sysCfg,
-				Trace:     traces[n],
-			})
 		}
 	}
 	results, err := eng.RunAll(ctx, jobs)
-	raw := make(map[string]map[string]*system.Result, len(names))
-	for _, n := range names {
-		raw[n] = make(map[string]*system.Result, len(models))
+	raw := make([]map[string]*system.Result, len(points))
+	for i, pt := range points {
+		raw[i] = make(map[string]*system.Result, len(pt.models))
 	}
 	for i, r := range results {
 		if r != nil {
-			raw[jobs[i].Workload][jobs[i].LLCName()] = r
+			raw[owner[i]][jobs[i].LLCName()] = r
 		}
 	}
 	return raw, err

@@ -3,10 +3,9 @@ package sweep
 import (
 	"context"
 
-	"nvmllc/internal/engine"
+	"nvmllc/internal/nvsim"
 	"nvmllc/internal/prism"
 	"nvmllc/internal/reference"
-	"nvmllc/internal/system"
 	"nvmllc/internal/workload"
 )
 
@@ -19,37 +18,30 @@ type TableVRow struct {
 	PaperMPKI float64
 }
 
-// TableV simulates every Table V workload on the baseline SRAM system and
-// reports its LLC MPKI alongside the paper's measurement.
+// TableV simulates every Table V workload on the baseline SRAM system, as
+// one batch, and reports its LLC MPKI alongside the paper's measurement.
 func TableV(ctx context.Context, cfg Config) ([]TableVRow, error) {
 	ctx, span := cfg.startSpan(ctx, "table_v")
 	defer span.End()
-	eng := cfg.engineOrNew()
-	rows := make([]TableVRow, 0, len(reference.Workloads()))
+	sram := []nvsim.LLCModel{reference.SRAMBaseline()}
+	points := make([]gridPoint, 0, len(reference.Workloads()))
 	for _, w := range reference.Workloads() {
 		p, err := workload.ByName(w.Name)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := workload.Generate(p, cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		sysCfg := system.Gainestown(reference.SRAMBaseline())
-		sysCfg.ModelWriteContention = cfg.WriteContention
-		r, err := eng.Run(ctx, engine.Job{
-			Workload:  w.Name,
-			TraceOpts: cfg.Opts,
-			Config:    sysCfg,
-			Trace:     tr,
-		})
-		if err != nil {
-			return nil, err
-		}
+		points = append(points, gridPoint{wl: p, opts: cfg.Opts, models: sram})
+	}
+	raw, err := runAll(ctx, cfg.engineOrNew(), points, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]TableVRow, 0, len(points))
+	for i, w := range reference.Workloads() {
 		rows = append(rows, TableVRow{
 			Workload:  w.Name,
 			Suite:     w.Suite,
-			MPKI:      r.LLCMPKI(),
+			MPKI:      raw[i]["SRAM"].LLCMPKI(),
 			PaperMPKI: w.LLCMPKI,
 		})
 	}

@@ -74,10 +74,6 @@ func Timeline(ctx context.Context, cfg Config, opts TimelineOptions) (*TimelineS
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
 	models := reference.FixedCapacityModels()
 	eng := cfg.engineOrNew()
 
@@ -91,12 +87,7 @@ func Timeline(ctx context.Context, cfg Config, opts TimelineOptions) (*TimelineS
 		sysCfg.ModelWriteContention = cfg.WriteContention
 		sysCfg.TrackWear = true
 		sysCfg.Timeline = &system.TimelineConfig{Points: opts.Points}
-		jobs = append(jobs, engine.Job{
-			Workload:  opts.Workload,
-			TraceOpts: cfg.Opts,
-			Config:    sysCfg,
-			Trace:     tr,
-		})
+		jobs = append(jobs, engine.StreamJob(p, cfg.Opts, sysCfg))
 	}
 	results, err := eng.RunAll(ctx, jobs)
 	if err != nil {

@@ -339,7 +339,8 @@ type simulator struct {
 	hybrid    *hybridLLC
 	// dramWait collects per-request DRAM queueing delay (always on with
 	// the default memory model; its snapshot lands in Result.DRAMWait).
-	dramWait *telemetry.Histogram
+	// Only the simulating goroutine touches it, so it needs no atomics.
+	dramWait *telemetry.LocalHistogram
 	// sampler drives epoch-boundary timeline sampling (nil unless
 	// Config.Timeline is set: one nil check per access when disabled).
 	sampler *epochSampler
@@ -476,7 +477,7 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 		hybrid:          hybrid,
 	}
 	if dramMem != nil {
-		sim.dramWait = telemetry.NewHistogram(telemetry.DefaultScale())
+		sim.dramWait = telemetry.NewLocalHistogram(telemetry.DefaultScale())
 		dramMem.SetWaitHook(sim.dramWait.Observe)
 	}
 	if cfg.TrackWear {

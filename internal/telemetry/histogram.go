@@ -28,75 +28,88 @@ func (s Scale) valid() bool {
 	return s.Min > 0 && s.Factor > 1 && s.Buckets >= 1
 }
 
+// layout is a scale's precomputed bucket bounds, shared by Histogram and
+// LocalHistogram so both bucket every value identically.
+type layout struct {
+	scale        Scale
+	invLogFactor float64
+	pow2         bool      // Min 1, Factor 2: bucketIndex reduces to Frexp
+	bounds       []float64 // inclusive upper bounds, len = Buckets
+}
+
+// newLayout precomputes a scale's bounds; an invalid scale falls back to
+// DefaultScale.
+func newLayout(s Scale) layout {
+	if !s.valid() {
+		s = DefaultScale()
+	}
+	l := layout{
+		scale:        s,
+		invLogFactor: 1 / math.Log(s.Factor),
+		pow2:         s.Min == 1 && s.Factor == 2,
+		bounds:       make([]float64, s.Buckets),
+	}
+	b := s.Min
+	for i := range l.bounds {
+		l.bounds[i] = b
+		b *= s.Factor
+	}
+	return l
+}
+
 // Histogram is a concurrency-safe log-scale histogram tracking count,
 // sum, min and max alongside per-bucket counts. Construct with
 // NewHistogram; all methods are safe on a nil receiver.
 type Histogram struct {
-	scale        Scale
-	invLogFactor float64
-	pow2         bool            // Min 1, Factor 2: bucketIndex reduces to Frexp
-	bounds       []float64       // inclusive upper bounds, len = Buckets
-	counts       []atomic.Uint64 // len = Buckets+1, last is overflow
-	count        atomic.Uint64
-	sumBits      atomic.Uint64
-	minBits      atomic.Uint64 // stores math.Float64bits; +Inf when empty
-	maxBits      atomic.Uint64 // -Inf when empty
+	layout
+	counts  []atomic.Uint64 // len = Buckets+1, last is overflow
+	count   atomic.Uint64
+	sumBits atomic.Uint64
+	minBits atomic.Uint64 // stores math.Float64bits; +Inf when empty
+	maxBits atomic.Uint64 // -Inf when empty
 }
 
 // NewHistogram builds a histogram; an invalid scale falls back to
 // DefaultScale.
 func NewHistogram(s Scale) *Histogram {
-	if !s.valid() {
-		s = DefaultScale()
-	}
-	h := &Histogram{
-		scale:        s,
-		invLogFactor: 1 / math.Log(s.Factor),
-		pow2:         s.Min == 1 && s.Factor == 2,
-		bounds:       make([]float64, s.Buckets),
-		counts:       make([]atomic.Uint64, s.Buckets+1),
-	}
-	b := s.Min
-	for i := range h.bounds {
-		h.bounds[i] = b
-		b *= s.Factor
-	}
+	l := newLayout(s)
+	h := &Histogram{layout: l, counts: make([]atomic.Uint64, len(l.bounds)+1)}
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 	return h
 }
 
 // bucketIndex maps a value to its bucket (len(bounds) = overflow).
-func (h *Histogram) bucketIndex(v float64) int {
-	if v <= h.scale.Min {
+func (l *layout) bucketIndex(v float64) int {
+	if v <= l.scale.Min {
 		return 0
 	}
-	if h.pow2 {
+	if l.pow2 {
 		// Factor-2 buckets with Min 1: bucket i covers (2^(i-1), 2^i], so
 		// the index is the binary exponent — exact, no log or fuzz guard.
 		if math.IsInf(v, 1) {
-			return len(h.bounds)
+			return len(l.bounds)
 		}
 		frac, exp := math.Frexp(v) // v = frac·2^exp, frac ∈ [0.5, 1)
 		if frac == 0.5 {
 			exp-- // exact power of two: inclusive upper bound
 		}
-		if exp > len(h.bounds) {
-			exp = len(h.bounds)
+		if exp > len(l.bounds) {
+			exp = len(l.bounds)
 		}
 		return exp
 	}
-	idx := int(math.Ceil(math.Log(v/h.scale.Min) * h.invLogFactor))
+	idx := int(math.Ceil(math.Log(v/l.scale.Min) * l.invLogFactor))
 	// Guard the float fuzz around exact bucket bounds: the bound is an
 	// inclusive upper limit.
-	if idx > 0 && idx <= len(h.bounds) && h.bounds[idx-1] >= v {
+	if idx > 0 && idx <= len(l.bounds) && l.bounds[idx-1] >= v {
 		idx--
 	}
 	if idx < 0 {
 		idx = 0
 	}
-	if idx > len(h.bounds) {
-		idx = len(h.bounds)
+	if idx > len(l.bounds) {
+		idx = len(l.bounds)
 	}
 	return idx
 }
@@ -166,6 +179,81 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
+}
+
+// LocalHistogram is Histogram's single-writer twin: the same buckets,
+// Count, Sum and HistogramSnapshot over plain fields instead of atomics,
+// for an observer that only its owning goroutine writes and reads, such
+// as one simulation's DRAM queue-wait hook. It is not safe for
+// concurrent use. Construct with NewLocalHistogram; all methods are safe
+// on a nil receiver.
+type LocalHistogram struct {
+	layout
+	counts   []uint64 // len = Buckets+1, last is overflow
+	count    uint64
+	sum      float64
+	min, max float64 // +Inf/-Inf when empty
+}
+
+// NewLocalHistogram builds a single-writer histogram; an invalid scale
+// falls back to DefaultScale.
+func NewLocalHistogram(s Scale) *LocalHistogram {
+	l := newLayout(s)
+	return &LocalHistogram{
+		layout: l,
+		counts: make([]uint64, len(l.bounds)+1),
+		min:    math.Inf(1),
+		max:    math.Inf(-1),
+	}
+}
+
+// Observe records one value exactly as Histogram.Observe does.
+func (h *LocalHistogram) Observe(v float64) {
+	if h == nil || math.IsNaN(v) {
+		return
+	}
+	h.counts[h.bucketIndex(v)]++
+	h.count++
+	h.sum += v
+	if v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+}
+
+// Count returns the number of observations so far.
+func (h *LocalHistogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count
+}
+
+// Sum returns the running sum of observed values.
+func (h *LocalHistogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
+
+// Snapshot copies the histogram into the form Histogram.Snapshot returns.
+func (h *LocalHistogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	s := HistogramSnapshot{
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: append([]uint64(nil), h.counts...),
+		Count:  h.count,
+		Sum:    h.sum,
+	}
+	if h.count > 0 {
+		s.Min, s.Max = h.min, h.max
+	}
+	return s
 }
 
 // HistogramSnapshot is an immutable copy of a histogram's state with

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -179,5 +180,33 @@ func TestHistogramInvalidScaleFallsBack(t *testing.T) {
 	}
 	if len(h.bounds) != DefaultScale().Buckets {
 		t.Errorf("bounds len = %d, want default %d", len(h.bounds), DefaultScale().Buckets)
+	}
+}
+
+// TestLocalHistogramMatchesHistogram: the single-writer twin must bucket,
+// count, sum and snapshot every value exactly as the atomic histogram
+// does, on both the power-of-two fast path and a general scale.
+func TestLocalHistogramMatchesHistogram(t *testing.T) {
+	vals := []float64{-3, 0, 0.25, 1, 1.5, 2, 3, 1024, 1025, 7e12, math.Inf(1), math.NaN(), 17.25}
+	for _, s := range []Scale{DefaultScale(), {Min: 10, Factor: 3, Buckets: 6}, {}} {
+		h, l := NewHistogram(s), NewLocalHistogram(s)
+		if !reflect.DeepEqual(h.Snapshot(), l.Snapshot()) {
+			t.Errorf("%+v: empty snapshots differ", s)
+		}
+		for _, v := range vals {
+			h.Observe(v)
+			l.Observe(v)
+			if h.Count() != l.Count() || math.Float64bits(h.Sum()) != math.Float64bits(l.Sum()) {
+				t.Fatalf("%+v after %g: count/sum %d/%g, local %d/%g", s, v, h.Count(), h.Sum(), l.Count(), l.Sum())
+			}
+		}
+		if hs, ls := h.Snapshot(), l.Snapshot(); !reflect.DeepEqual(hs, ls) {
+			t.Errorf("%+v: snapshots differ\natomic: %+v\nlocal:  %+v", s, hs, ls)
+		}
+	}
+	var nilLocal *LocalHistogram
+	nilLocal.Observe(1) // must not panic
+	if nilLocal.Count() != 0 || nilLocal.Sum() != 0 || nilLocal.Snapshot().Count != 0 {
+		t.Error("nil LocalHistogram is not empty")
 	}
 }

@@ -149,29 +149,3 @@ func FilterKind(accesses []Access, k Kind) []Access {
 	}
 	return out
 }
-
-// SplitByThread partitions accesses by thread ID, preserving order
-// within each thread. An access whose Tid is out of range is an error
-// (it would silently corrupt the per-thread streams); Trace.Validate
-// catches the same condition earlier for whole traces.
-func SplitByThread(accesses []Access, threads int) ([][]Access, error) {
-	if threads <= 0 {
-		return nil, fmt.Errorf("trace: split into %d threads, want positive", threads)
-	}
-	counts := make([]int, threads)
-	for i := range accesses {
-		tid := int(accesses[i].Tid)
-		if tid >= threads {
-			return nil, fmt.Errorf("trace: access %d has tid %d ≥ threads %d", i, tid, threads)
-		}
-		counts[tid]++
-	}
-	out := make([][]Access, threads)
-	for t, n := range counts {
-		out[t] = make([]Access, 0, n)
-	}
-	for _, a := range accesses {
-		out[a.Tid] = append(out[a.Tid], a)
-	}
-	return out, nil
-}

@@ -99,36 +99,6 @@ func TestFilterKind(t *testing.T) {
 	}
 }
 
-func TestSplitByThread(t *testing.T) {
-	tr := sampleTrace()
-	parts, err := SplitByThread(tr.Accesses, tr.Threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 {
-		t.Fatalf("SplitByThread returned %d parts", len(parts))
-	}
-	if len(parts[0]) != 2 || len(parts[1]) != 2 {
-		t.Errorf("part sizes = %d,%d; want 2,2", len(parts[0]), len(parts[1]))
-	}
-	// Order within each thread preserved.
-	if parts[0][0].Addr != 0x1000 || parts[0][1].Addr != 0x0fff {
-		t.Error("thread 0 order not preserved")
-	}
-}
-
-// TestSplitByThreadRejectsOutOfRangeTid: a tid ≥ threads must be an
-// error, not a silently dropped access.
-func TestSplitByThreadRejectsOutOfRangeTid(t *testing.T) {
-	accs := []Access{{Addr: 0x40, Tid: 0}, {Addr: 0x80, Tid: 3}}
-	if _, err := SplitByThread(accs, 2); err == nil {
-		t.Fatal("SplitByThread accepted tid 3 with 2 threads")
-	}
-	if _, err := SplitByThread(accs, 0); err == nil {
-		t.Fatal("SplitByThread accepted 0 threads")
-	}
-}
-
 func TestCodecRoundTripSample(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer

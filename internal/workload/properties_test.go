@@ -3,8 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-
-	"nvmllc/internal/trace"
 )
 
 // TestWriteFractionMatchesProfileExpectation: every generated trace's
@@ -80,7 +78,7 @@ func TestThreadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := trace.SplitByThread(tr.Accesses, 8)
+	parts, err := splitByThread(tr.Accesses, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

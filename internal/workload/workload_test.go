@@ -239,7 +239,7 @@ func TestMultiThreadedScalesToThreadCount(t *testing.T) {
 		if tr.Threads != threads {
 			t.Errorf("threads = %d, want %d", tr.Threads, threads)
 		}
-		parts, err := trace.SplitByThread(tr.Accesses, threads)
+		parts, err := splitByThread(tr.Accesses, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestSharedVsPrivateRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perThread, err := trace.SplitByThread(tr.Accesses, 4)
+	perThread, err := splitByThread(tr.Accesses, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
