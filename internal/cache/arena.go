@@ -7,9 +7,12 @@ package cache
 // steady state and the hot-loop benchmarks — allocation-free on cache
 // storage instead of several megabytes per run at 64 cores.
 //
-// Usage: Reset() once per construction cycle, then NewIn for every cache
-// of that cycle. Windows handed out before a Reset must no longer be in
-// use when the next cycle begins — the caller (internal/system's Scratch)
+// Usage: Reset(need) once per construction cycle, with need the sum of
+// the cycle's caches (Need.Add), then NewIn for every cache of that
+// cycle. The backing arrays only grow, and grow to exactly the largest
+// cycle seen, so a long-lived arena holds no slack beyond its biggest
+// run. Windows handed out before a Reset must no longer be in use when
+// the next cycle begins — the caller (internal/system's Scratch)
 // guarantees a Scratch is owned by one run at a time. The zero value is
 // ready to use. An Arena must not be shared by concurrent simulations.
 type Arena struct {
@@ -20,22 +23,55 @@ type Arena struct {
 	tagOff, metaOff, stampOff int
 }
 
-// Reset starts a new construction cycle: previously carved windows are
-// abandoned (their backing arrays are reused) and capacity is retained.
-func (a *Arena) Reset() {
-	a.tagOff, a.metaOff, a.stampOff = 0, 0, 0
+// Need is the storage one construction cycle carves, in elements per
+// backing array.
+type Need struct {
+	Tags, Meta, Stamps int
 }
 
-// take carves an n-element window out of buf, growing to a fresh backing
-// array when full. Earlier windows keep aliasing the old array, so the
-// grow path is safe mid-cycle; capacity doubles relative to the running
-// total, reaching a single steady-state backing within a few cycles.
-func take[T uint64 | uint8](buf *[]T, off *int, n int) []T {
-	if *off+n > len(*buf) {
-		*buf = make([]T, 2*(*off+n))
-		*off = 0
+// Add accumulates count caches of configuration cfg. An invalid cfg
+// adds nothing: NewIn rejects it before carving.
+func (n *Need) Add(cfg Config, count int) {
+	if cfg.Validate() != nil {
+		return
 	}
-	s := (*buf)[*off : *off+n : *off+n]
+	sets := cfg.numSets()
+	lines := sets * cfg.Ways
+	n.Tags += count * lines
+	n.Meta += count * (lines + sets) // meta plus the per-set occupancy
+	if cfg.Policy == LRU {
+		n.Stamps += count * lines
+	}
+}
+
+// Reset starts a new construction cycle: previously carved windows are
+// abandoned, and each backing array is reallocated at exactly need's
+// size when it is too small for the cycle, kept otherwise.
+func (a *Arena) Reset(need Need) {
+	a.tagOff, a.metaOff, a.stampOff = 0, 0, 0
+	a.tags = fit(a.tags, need.Tags)
+	a.meta = fit(a.meta, need.Meta)
+	a.stamps = fit(a.stamps, need.Stamps)
+}
+
+// fit returns buf when it holds n elements, else a fresh n-element array
+// (the old one goes to the garbage collector).
+func fit[T uint64 | uint8](buf []T, n int) []T {
+	if len(buf) >= n {
+		return buf
+	}
+	return make([]T, n)
+}
+
+// take carves an n-element window out of buf. A cycle that carves more
+// than its Reset declared gets a standalone window for the overflow
+// rather than growing the arena, so the backing stays at the declared
+// size.
+func take[T uint64 | uint8](buf []T, off *int, n int) []T {
+	if *off+n > len(buf) {
+		return make([]T, n)
+	}
+	s := buf[*off : *off+n : *off+n]
 	*off += n
 	return s
 }
@@ -47,7 +83,7 @@ func (a *Arena) takeTags(n int) []uint64 {
 	if a == nil {
 		s = make([]uint64, n)
 	} else {
-		s = take(&a.tags, &a.tagOff, n)
+		s = take(a.tags, &a.tagOff, n)
 	}
 	for i := range s {
 		s[i] = invalidTag
@@ -60,7 +96,7 @@ func (a *Arena) takeMeta(n int) []uint8 {
 	if a == nil {
 		return make([]uint8, n)
 	}
-	s := take(&a.meta, &a.metaOff, n)
+	s := take(a.meta, &a.metaOff, n)
 	clear(s)
 	return s
 }
@@ -72,7 +108,7 @@ func (a *Arena) takeStamps(n int) []uint64 {
 	if a == nil {
 		return make([]uint64, n)
 	}
-	s := take(&a.stamps, &a.stampOff, n)
+	s := take(a.stamps, &a.stampOff, n)
 	clear(s)
 	return s
 }

@@ -294,8 +294,10 @@ func TestConfigValidate(t *testing.T) {
 func TestArenaRecycling(t *testing.T) {
 	var a Arena
 	cfg := Config{Name: "ar", CapacityBytes: 4 << 10, BlockBytes: 64, Ways: 4}
+	var need Need
+	need.Add(cfg, 1)
 	build := func() *Cache {
-		a.Reset()
+		a.Reset(need)
 		c, err := NewIn(&a, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -329,5 +331,75 @@ func TestArenaRecycling(t *testing.T) {
 	}
 	if c3.Stats() != fresh.Stats() {
 		t.Fatalf("stats diverged: %+v vs %+v", c3.Stats(), fresh.Stats())
+	}
+}
+
+// TestArenaResetExact: Reset sizes the backing arrays to exactly the
+// declared need, a smaller cycle afterwards carves and clears only its
+// own windows (the storage past them keeps the large cycle's contents),
+// and carving past the declared need hands out a standalone window
+// instead of growing the arena.
+func TestArenaResetExact(t *testing.T) {
+	big := Config{Name: "big", CapacityBytes: 64 << 10, BlockBytes: 64, Ways: 8}
+	small := Config{Name: "small", CapacityBytes: 4 << 10, BlockBytes: 64, Ways: 4}
+	var bigNeed, smallNeed Need
+	bigNeed.Add(big, 2)
+	smallNeed.Add(small, 1)
+
+	var a Arena
+	a.Reset(bigNeed)
+	for i := 0; i < 2; i++ {
+		if _, err := NewIn(&a, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.tags) != bigNeed.Tags || len(a.meta) != bigNeed.Meta || len(a.stamps) != bigNeed.Stamps {
+		t.Fatalf("backing = %d/%d/%d elements, want exactly %+v", len(a.tags), len(a.meta), len(a.stamps), bigNeed)
+	}
+	if a.tagOff != bigNeed.Tags || a.metaOff != bigNeed.Meta || a.stampOff != bigNeed.Stamps {
+		t.Fatalf("carved %d/%d/%d elements, want exactly %+v", a.tagOff, a.metaOff, a.stampOff, bigNeed)
+	}
+	for i := range a.tags {
+		a.tags[i], a.stamps[i] = 7, 7
+	}
+	for i := range a.meta {
+		a.meta[i] = 7
+	}
+	tags, meta, stamps := &a.tags[0], &a.meta[0], &a.stamps[0]
+
+	a.Reset(smallNeed)
+	c, err := NewIn(&a, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.tags[0] != tags || &a.meta[0] != meta || &a.stamps[0] != stamps {
+		t.Fatal("a smaller cycle reallocated the backing arrays")
+	}
+	untouched := func(name string, n int, at func(int) uint64, from int) {
+		for i := from; i < n; i++ {
+			if at(i) != 7 {
+				t.Fatalf("%s[%d] past the small cycle's windows was cleared", name, i)
+			}
+		}
+	}
+	untouched("tags", len(a.tags), func(i int) uint64 { return a.tags[i] }, smallNeed.Tags)
+	untouched("stamps", len(a.stamps), func(i int) uint64 { return a.stamps[i] }, smallNeed.Stamps)
+	untouched("meta", len(a.meta), func(i int) uint64 { return uint64(a.meta[i]) }, smallNeed.Meta)
+	if got := c.OccupiedLines(); got != 0 {
+		t.Fatalf("small cache starts with %d occupied lines", got)
+	}
+
+	// Overflow: a cycle that carves more than it declared.
+	var b Arena
+	b.Reset(smallNeed)
+	over, err := NewIn(&b, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.tags) != smallNeed.Tags || b.tagOff != 0 {
+		t.Errorf("an undeclared window grew the arena (%d elements declared, %d held, offset %d)", smallNeed.Tags, len(b.tags), b.tagOff)
+	}
+	if hit, _ := over.Access(3, false); hit {
+		t.Error("standalone window starts non-empty")
 	}
 }

@@ -21,6 +21,7 @@
 package engine
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -52,8 +53,9 @@ type Job struct {
 	// once per actual simulation (cache hits skip it) and must return a
 	// fresh, unconsumed source each time — sources are single-pass and
 	// owned by the run (see system.RunStream). Generation happens inside
-	// the worker's simulate call, and jobs of one RunAll batch over the
-	// same (Workload, TraceOpts) materialize the trace once (share.go).
+	// the worker's simulate call, and jobs over the same (Workload,
+	// TraceOpts) materialize the trace once while it stays within the
+	// engine's trace budget (share.go).
 	Source func() (trace.ChunkSource, error)
 	// NoCache forces a fresh simulation and keeps the result out of the
 	// cache (for traces whose provenance the key cannot capture).
@@ -108,6 +110,9 @@ type Stats struct {
 	// of N design points over one workload shows TraceGens=1,
 	// TraceShared=N-1.
 	TraceGens, TraceShared uint64
+	// TraceRetainedBytes is the budget the sharing layer's materialized
+	// traces hold right now, in use or retained for later jobs.
+	TraceRetainedBytes int64
 	// Profiles counts reuse-distance profiling passes actually executed
 	// (profilejob.go); ProfileHits counts profile requests answered from
 	// the profile cache (memory or store). Profile jobs are a separate
@@ -130,6 +135,9 @@ func (s Stats) String() string {
 	}
 	if s.TraceShared > 0 {
 		out = fmt.Sprintf("%s, %d traces generated / %d shared", out, s.TraceGens, s.TraceShared)
+	}
+	if s.TraceRetainedBytes > 0 {
+		out = fmt.Sprintf("%s, %.1f MiB traces held", out, float64(s.TraceRetainedBytes)/(1<<20))
 	}
 	if s.Profiles+s.ProfileHits > 0 {
 		out = fmt.Sprintf("%s, %d profiled / %d profile hits", out, s.Profiles, s.ProfileHits)
@@ -237,19 +245,21 @@ type Engine struct {
 	profMu   sync.Mutex
 	profiles map[string]*profEntry
 
-	// shares memoizes generated traces across jobs (share.go); traceBufs
-	// is the free list of their materialization buffers. It holds one
-	// buffer per worker, as many as can be generating at once: a batch's
-	// end returns all of its traces together, and keeping more would only
-	// hold their memory across garbage collections.
-	shareMu   sync.Mutex
-	shares    map[string]*shareEntry
-	traceBufs chan *[]trace.Access
+	// shares memoizes generated traces across jobs (share.go), referenced
+	// or retained; idle lists the retained ones, most recently used
+	// first. retainedBytes is the budget all of them hold: written under
+	// shareMu, atomic so Stats reads it without the lock.
+	shareMu       sync.Mutex
+	shares        map[string]*shareEntry
+	idle          list.List
+	retainedBytes atomic.Int64
 
-	// scratch pools per-run simulator buffers (the trace split) across
-	// the worker pool, so steady-state simulation is allocation-free on
-	// the trace pipeline.
-	scratch sync.Pool
+	// scratch is the free list of per-run simulator buffers, one per
+	// worker. Each lives for the engine's lifetime and keeps the storage
+	// of the largest run it served, so steady-state simulation is
+	// allocation-free; a run beyond Workers() concurrent ones borrows a
+	// transient Scratch.
+	scratch chan *system.Scratch
 
 	simulated   atomic.Uint64
 	upgraded    atomic.Uint64
@@ -265,11 +275,15 @@ type Engine struct {
 
 // New creates an engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{results: make(map[string]*entry)}
+	e := &Engine{
+		results:    make(map[string]*entry),
+		shares:     make(map[string]*shareEntry),
+		shareLimit: defaultTraceShareLimit,
+	}
 	for _, o := range opts {
 		o(e)
 	}
-	e.traceBufs = make(chan *[]trace.Access, e.Workers())
+	e.scratch = make(chan *system.Scratch, e.Workers())
 	return e
 }
 
@@ -294,6 +308,8 @@ func (e *Engine) Stats() Stats {
 		TraceShared: e.traceShared.Load(),
 		Profiles:    e.profiled.Load(),
 		ProfileHits: e.profileHits.Load(),
+
+		TraceRetainedBytes: e.retainedBytes.Load(),
 	}
 }
 
@@ -421,10 +437,7 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 	span := e.reg.StartSpan(spanName, telemetry.SpanFromContext(ctx))
 	span.SetAttr("workload", j.Workload)
 	span.SetAttr("llc", j.LLCName())
-	scratch, _ := e.scratch.Get().(*system.Scratch)
-	if scratch == nil {
-		scratch = new(system.Scratch)
-	}
+	scratch := e.takeScratch()
 	start := time.Now()
 	var res *system.Result
 	var err error
@@ -435,7 +448,7 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 		err = fmt.Errorf("engine: job %s on %s has no trace source", j.Workload, j.LLCName())
 	}
 	wall := time.Since(start).Nanoseconds()
-	e.scratch.Put(scratch)
+	e.putScratch(scratch)
 	e.simWallNS.Add(wall)
 	e.reg.Histogram("engine_job_wall_ns").Observe(float64(wall))
 	if err != nil {
@@ -460,6 +473,43 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 	span.End()
 	e.emit(j, key, res, false, upgrade, err, wall)
 	return res, err
+}
+
+// runSource simulates a streamed job, through the sharing layer when the
+// job takes part in it.
+func (e *Engine) runSource(ctx context.Context, j Job, scratch *system.Scratch) (*system.Result, uint64, error) {
+	src, err := j.Source()
+	if err != nil {
+		return nil, 0, err
+	}
+	accesses := uint64(src.Meta().Accesses)
+	src, release, err := e.sharedSource(j, src)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer release()
+	res, err := system.RunStreamWith(ctx, j.Config, src, scratch)
+	return res, accesses, err
+}
+
+// takeScratch hands a run a Scratch from the free list, or a fresh one
+// when every worker's is in use.
+func (e *Engine) takeScratch() *system.Scratch {
+	select {
+	case sc := <-e.scratch:
+		return sc
+	default:
+		return new(system.Scratch)
+	}
+}
+
+// putScratch returns a run's Scratch to the free list; one that does not
+// fit (a transient extra) goes to the garbage collector.
+func (e *Engine) putScratch(sc *system.Scratch) {
+	select {
+	case e.scratch <- sc:
+	default:
+	}
 }
 
 func (e *Engine) emit(j Job, key string, res *system.Result, cachedHit, upgraded bool, err error, wallNS int64) {
@@ -487,9 +537,8 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*system.Result, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Pin every distinct shareable trace for the batch, so sweeps
-	// amortize generation across design points regardless of worker-pool
-	// shape (share.go).
+	// Pin every distinct shareable trace for the batch, so none is
+	// evicted before the batch's last job needs it (share.go).
 	unpin := e.pinShares(jobs)
 	defer unpin()
 	results := make([]*system.Result, len(jobs))

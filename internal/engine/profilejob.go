@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"nvmllc/internal/profile"
-	"nvmllc/internal/system"
 	"nvmllc/internal/telemetry"
 	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
@@ -150,20 +149,17 @@ func (e *Engine) RunProfile(ctx context.Context, pj ProfileJob) (*profile.Profil
 }
 
 // computeProfile executes the profiling pass, riding the trace-sharing
-// layer for generator-backed jobs and the engine scratch pool for
-// buffers. It is accounted under Stats.Profiles (never Jobs()).
+// layer for generator-backed jobs and the engine's per-worker scratch
+// for buffers. It is accounted under Stats.Profiles (never Jobs()).
 func (e *Engine) computeProfile(ctx context.Context, pj ProfileJob) (*profile.Profile, error) {
 	span := e.reg.StartSpan("profile", telemetry.SpanFromContext(ctx))
 	span.SetAttr("workload", pj.Workload)
 	defer span.End()
-	scratch, _ := e.scratch.Get().(*system.Scratch)
-	if scratch == nil {
-		scratch = new(system.Scratch)
-	}
+	scratch := e.takeScratch()
 	start := time.Now()
 	p, err := e.profileSource(ctx, pj, scratch.ProfileScratch())
 	wall := time.Since(start).Nanoseconds()
-	e.scratch.Put(scratch)
+	e.putScratch(scratch)
 	e.simWallNS.Add(wall)
 	e.reg.Histogram("engine_profile_wall_ns").Observe(float64(wall))
 	if err != nil {
@@ -198,24 +194,12 @@ func (e *Engine) profileSource(ctx context.Context, pj ProfileJob, sc *profile.S
 	// Share the materialized trace with simulation jobs over the same
 	// (workload, options) pair: shareKey ignores everything profile-
 	// specific, so an estimator sweep generates its workload once for
-	// the profile and every pinned exact simulation.
+	// its exact simulations and the profile that follows them.
 	alias := Job{Workload: pj.Workload, TraceOpts: pj.TraceOpts, Source: pj.Source, NoCache: pj.NoCache}
-	key, ok := shareKey(alias)
-	if e.shareOff || !ok ||
-		(e.shareLimit > 0 && src.Meta().Accesses*shareBytesPerAccess > e.shareLimit) {
-		return runProfilePass(ctx, pj, src, sc)
-	}
-	sh := e.acquireShare(alias)
-	defer e.releaseShare(key, sh)
-	if !e.materialize(sh, src) && sh.err == nil {
-		e.traceShared.Add(1)
-	}
-	if sh.err != nil {
-		return nil, sh.err
-	}
-	shared, err := trace.NewSliceSource(sh.meta, sh.accs)
+	src, release, err := e.sharedSource(alias, src)
 	if err != nil {
 		return nil, err
 	}
-	return runProfilePass(ctx, pj, shared, sc)
+	defer release()
+	return runProfilePass(ctx, pj, src, sc)
 }

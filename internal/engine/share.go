@@ -7,31 +7,42 @@ package engine
 // trace generator for its own job, so an 8-point sweep synthesizes the
 // same access sequence 8 times. The sharing layer memoizes generated
 // traces per (workload, options) pair: the first job to need one drains
-// its source into a pooled buffer, and every other job gets a read-only
+// its source into a buffer, and every other job gets a read-only
 // trace.SliceSource cursor over the same backing array, streaming it
 // through the normal chunked pipeline. Results are unaffected — a
 // SliceSource replays exactly the sequence the generator would have
 // produced, and the result-cache key never sees the difference (pinned
 // by TestTraceSharingByteIdentical).
 //
-// Lifetime is refcounted: each simulation holds a reference for its
-// duration, and RunAll pins every distinct share key up front so a
-// serialized worker pool (parallelism 1) still generates once per sweep
-// instead of once per job. When the last reference drops, the buffer
-// returns to the engine's free list (Engine.traceBufs) for the next
-// sweep, or to the garbage collector when the list is full.
+// Lifetime: each simulation holds a reference for its duration, and
+// RunAll pins every distinct share key up front so a batch can never
+// evict its own traces. When the last reference drops, a materialized
+// trace stays resident, keyed, on an LRU list: a later job over the same
+// trace — the next LLC config a serving client submits, an estimator's
+// profile after its exact batch — revives it instead of regenerating.
+// Every materialized trace counts against one byte budget
+// (WithTraceShareLimit). Before a trace is materialized, retained
+// entries are evicted least recently used first until it fits, and the
+// first evicted buffer large enough is reused for it; the others go to
+// the garbage collector. Referenced entries are never evicted, so a
+// batch whose traces together exceed the budget still holds them all
+// until it ends, and the budget is restored as they are released.
 
 import (
-	"context"
+	"container/list"
 	"fmt"
 	"sync"
 
-	"nvmllc/internal/system"
 	"nvmllc/internal/trace"
 )
 
 // shareBytesPerAccess sizes a share against the limit (one trace.Access).
 const shareBytesPerAccess = 16
+
+// defaultTraceShareLimit is the default budget for materialized traces:
+// it holds every distinct trace of an llcsimd session at 100k accesses
+// (60 traces, about 85 MiB) with room to spare.
+const defaultTraceShareLimit = 128 << 20
 
 // WithoutTraceSharing disables cross-job trace memoization: every
 // streamed job drives its own source, as before.
@@ -39,24 +50,30 @@ func WithoutTraceSharing() Option {
 	return func(e *Engine) { e.shareOff = true }
 }
 
-// WithTraceShareLimit bounds the materialized size of a shared trace in
-// bytes (0 = unlimited, the default). Traces whose declared access count
-// would exceed the limit are not materialized; their jobs stream
-// directly from their own sources and keep O(chunk) memory.
+// WithTraceShareLimit sets the budget, in bytes, for all materialized
+// traces the sharing layer holds, in use or retained (default 128 MiB;
+// 0 or less removes the bound). A trace larger than the budget is not
+// materialized: its jobs stream directly from their own sources and
+// keep O(chunk) memory.
 func WithTraceShareLimit(bytes int64) Option {
 	return func(e *Engine) { e.shareLimit = bytes }
 }
 
 // shareEntry is one memoized trace. refs counts live holds (running
-// simulations plus RunAll pins); the buffer recycles when it reaches
-// zero. Materialization is lazy — a pinned entry that no job ends up
-// needing never generates anything.
+// simulations plus RunAll pins). Materialization is lazy — a pinned
+// entry that no job ends up needing never generates anything. Once
+// materialized, an unreferenced entry sits on the engine's idle list
+// (elem) until it is revived or evicted.
 type shareEntry struct {
+	key  string
 	once sync.Once
 	meta trace.Meta
 	accs []trace.Access
 	err  error
 	refs int
+	// bytes is the budget the entry's buffer holds (its capacity).
+	bytes int64
+	elem  *list.Element
 }
 
 // shareKey identifies the trace a job will stream, independent of the
@@ -69,65 +86,104 @@ func shareKey(j Job) (string, bool) {
 	return fmt.Sprintf("%s|%+v", j.Workload, j.TraceOpts), true
 }
 
-// acquireShare takes a reference on the job's share entry, creating it
-// on first use. Returns nil when the job does not participate.
-func (e *Engine) acquireShare(j Job) *shareEntry {
-	if e.shareOff {
-		return nil
-	}
-	key, ok := shareKey(j)
-	if !ok {
-		return nil
-	}
+// acquireShare takes a reference on key's entry, creating it on first
+// use and reviving it from the idle list when it was retained.
+func (e *Engine) acquireShare(key string) *shareEntry {
 	e.shareMu.Lock()
 	defer e.shareMu.Unlock()
-	if e.shares == nil {
-		e.shares = make(map[string]*shareEntry)
-	}
 	sh := e.shares[key]
 	if sh == nil {
-		sh = &shareEntry{}
+		sh = &shareEntry{key: key}
 		e.shares[key] = sh
+	}
+	if sh.elem != nil {
+		e.idle.Remove(sh.elem)
+		sh.elem = nil
 	}
 	sh.refs++
 	return sh
 }
 
-// releaseShare drops a reference; the last one retires the entry and
-// recycles its buffer.
-func (e *Engine) releaseShare(key string, sh *shareEntry) {
+// releaseShare drops a reference. The last one retires an entry that
+// holds no trace (never needed, or failed) and retains a materialized
+// one as the most recently used, then trims retained entries back under
+// the budget.
+func (e *Engine) releaseShare(sh *shareEntry) {
 	e.shareMu.Lock()
 	defer e.shareMu.Unlock()
 	sh.refs--
 	if sh.refs > 0 {
 		return
 	}
-	if cur, ok := e.shares[key]; ok && cur == sh {
-		delete(e.shares, key)
+	if sh.accs == nil {
+		delete(e.shares, sh.key)
+		return
 	}
-	if sh.accs != nil {
-		buf := sh.accs[:0]
-		sh.accs = nil
-		select {
-		case e.traceBufs <- &buf:
-		default: // the free list is full
-		}
+	sh.elem = e.idle.PushFront(sh)
+	for e.overBudget(0) && e.evictOldest() != nil {
 	}
 }
 
+// overBudget reports whether materializing need more bytes would take
+// the held traces past the budget.
+func (e *Engine) overBudget(need int64) bool {
+	return e.shareLimit > 0 && e.retainedBytes.Load()+need > e.shareLimit
+}
+
+// evictOldest drops the least recently used retained entry and returns
+// its buffer (nil when nothing is retained). Callers hold shareMu.
+func (e *Engine) evictOldest() []trace.Access {
+	back := e.idle.Back()
+	if back == nil {
+		return nil
+	}
+	sh := e.idle.Remove(back).(*shareEntry)
+	delete(e.shares, sh.key)
+	buf := sh.accs
+	sh.accs, sh.elem = nil, nil
+	e.holdBytes(-sh.bytes)
+	return buf
+}
+
+// holdBytes moves the held-trace total and its gauge. Callers hold
+// shareMu.
+func (e *Engine) holdBytes(delta int64) {
+	e.reg.Gauge("engine_trace_retained_bytes").Set(float64(e.retainedBytes.Add(delta)))
+}
+
+// reserveTrace makes room for an n-access trace in the budget, evicting
+// retained entries oldest first, and charges it to sh. It returns the
+// first evicted buffer that can hold the trace, or nil when the caller
+// must allocate one.
+func (e *Engine) reserveTrace(sh *shareEntry, n int64) []trace.Access {
+	e.shareMu.Lock()
+	defer e.shareMu.Unlock()
+	var reuse []trace.Access
+	for e.overBudget(n * shareBytesPerAccess) {
+		buf := e.evictOldest()
+		if buf == nil {
+			break // the rest of the budget is referenced
+		}
+		if reuse == nil && int64(cap(buf)) >= n {
+			reuse = buf
+		}
+	}
+	sh.bytes = n * shareBytesPerAccess
+	if reuse != nil {
+		sh.bytes = int64(cap(reuse)) * shareBytesPerAccess
+	}
+	e.holdBytes(sh.bytes)
+	return reuse
+}
+
 // pinShares holds a reference on every distinct share key in a job batch
-// for the batch's duration, so amortization survives any worker-pool
-// shape (including fully serialized execution, where per-job refcounts
-// alone would drop to zero between jobs and regenerate each time).
+// for the batch's duration, so no trace the batch needs is evicted
+// before its last job, whatever the worker-pool shape.
 func (e *Engine) pinShares(jobs []Job) func() {
 	if e.shareOff {
 		return func() {}
 	}
-	type pin struct {
-		key string
-		sh  *shareEntry
-	}
-	var pins []pin
+	var pins []*shareEntry
 	seen := make(map[string]bool)
 	for _, j := range jobs {
 		key, ok := shareKey(j)
@@ -135,18 +191,16 @@ func (e *Engine) pinShares(jobs []Job) func() {
 			continue
 		}
 		seen[key] = true
-		if sh := e.acquireShare(j); sh != nil {
-			pins = append(pins, pin{key, sh})
-		}
+		pins = append(pins, e.acquireShare(key))
 	}
 	return func() {
-		for _, p := range pins {
-			e.releaseShare(p.key, p.sh)
+		for _, sh := range pins {
+			e.releaseShare(sh)
 		}
 	}
 }
 
-// materialize drains src into a pooled buffer exactly once per entry;
+// materialize drains src into the entry's buffer exactly once per entry;
 // concurrent and later callers wait on the Once and reuse the slice.
 // It reports whether this call performed the generation (its caller
 // abandons src either way — sources are cheap to construct, generation
@@ -157,13 +211,8 @@ func (e *Engine) materialize(sh *shareEntry, src trace.ChunkSource) bool {
 		generated = true
 		meta := src.Meta()
 		n := meta.Accesses
-		var buf []trace.Access
-		select {
-		case p := <-e.traceBufs:
-			buf = *p
-		default:
-		}
-		if int64(cap(buf)) < n {
+		buf := e.reserveTrace(sh, n)
+		if buf == nil {
 			buf = make([]trace.Access, n)
 		}
 		buf = buf[:n]
@@ -172,47 +221,51 @@ func (e *Engine) materialize(sh *shareEntry, src trace.ChunkSource) bool {
 			c, err := src.ReadChunk(buf[pos:])
 			if err != nil {
 				sh.err = err
-				return
+				break
 			}
 			if c == 0 {
 				sh.err = fmt.Errorf("engine: trace %s ended after %d of %d declared accesses", meta.Name, pos, n)
-				return
+				break
 			}
 			pos += int64(c)
+		}
+		if sh.err != nil {
+			e.shareMu.Lock()
+			e.holdBytes(-sh.bytes)
+			sh.bytes = 0
+			e.shareMu.Unlock()
+			return
 		}
 		sh.meta = meta
 		sh.accs = buf
 		e.traceGens.Add(1)
+		e.reg.Counter("engine_traces_total", "outcome", "generated").Inc()
 	})
 	return generated
 }
 
-// runSource simulates a streamed job, through the sharing layer when the
-// job is eligible and the trace fits the share limit.
-func (e *Engine) runSource(ctx context.Context, j Job, scratch *system.Scratch) (*system.Result, uint64, error) {
-	src, err := j.Source()
-	if err != nil {
-		return nil, 0, err
-	}
-	accesses := uint64(src.Meta().Accesses)
+// sharedSource returns the stream a job should consume: a cursor over
+// its shared trace, or src itself when the job does not take part in
+// sharing or its trace exceeds the budget. The returned release must be
+// called once the stream is no longer read.
+func (e *Engine) sharedSource(j Job, src trace.ChunkSource) (trace.ChunkSource, func(), error) {
 	key, ok := shareKey(j)
-	if e.shareOff || !ok ||
-		(e.shareLimit > 0 && src.Meta().Accesses*shareBytesPerAccess > e.shareLimit) {
-		res, err := system.RunStreamWith(ctx, j.Config, src, scratch)
-		return res, accesses, err
+	if e.shareOff || !ok || (e.shareLimit > 0 && src.Meta().Accesses*shareBytesPerAccess > e.shareLimit) {
+		return src, func() {}, nil
 	}
-	sh := e.acquireShare(j)
-	defer e.releaseShare(key, sh)
+	sh := e.acquireShare(key)
 	if !e.materialize(sh, src) && sh.err == nil {
 		e.traceShared.Add(1)
+		e.reg.Counter("engine_traces_total", "outcome", "shared").Inc()
 	}
-	if sh.err != nil {
-		return nil, 0, sh.err
+	err := sh.err
+	var shared trace.ChunkSource
+	if err == nil {
+		shared, err = trace.NewSliceSource(sh.meta, sh.accs)
 	}
-	shared, err := trace.NewSliceSource(sh.meta, sh.accs)
 	if err != nil {
-		return nil, 0, err
+		e.releaseShare(sh)
+		return nil, nil, err
 	}
-	res, err := system.RunStreamWith(ctx, j.Config, shared, scratch)
-	return res, accesses, err
+	return shared, func() { e.releaseShare(sh) }, nil
 }

@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"nvmllc/internal/profile"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/trace"
@@ -169,29 +171,203 @@ func TestTraceSharingWithResultCache(t *testing.T) {
 	}
 }
 
-// TestTraceBuffersRecycleUpToWorkers: a batch's end hands back every
-// shared trace at once, and the engine keeps at most one buffer per
-// worker for the next batch.
-func TestTraceBuffersRecycleUpToWorkers(t *testing.T) {
+// retentionJob builds a 1-core generator-backed job over ft seed seed
+// on LLC model idx of the fixed-capacity set: short traces, distinct
+// share keys per seed, distinct result keys per model.
+func retentionJob(t *testing.T, seed int64, idx int) Job {
+	t.Helper()
 	p, err := workload.ByName("ft")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sram := system.Gainestown(reference.SRAMBaseline()).WithCores(4)
-	nvm := system.Gainestown(reference.FixedCapacityModels()[1]).WithCores(4)
-	var jobs []Job
-	for seed := int64(1); seed <= 4; seed++ {
-		opts := workload.Options{Accesses: 5000, Threads: 4, Seed: seed}
-		jobs = append(jobs, StreamJob(p, opts, sram), StreamJob(p, opts, nvm))
+	opts := workload.Options{Accesses: 4000, Threads: 1, Seed: seed}
+	return StreamJob(p, opts, system.Gainestown(reference.FixedCapacityModels()[idx]).WithCores(1))
+}
+
+// TestTraceRetainedAcrossRuns: two serial Runs of one trace under two
+// LLC configs generate the trace once — the first job's trace stays
+// resident after its last reference drops, and the second revives it.
+func TestTraceRetainedAcrossRuns(t *testing.T) {
+	e := New()
+	for idx := 0; idx < 2; idx++ {
+		if _, err := e.Run(context.Background(), retentionJob(t, 1, idx)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e := New(WithParallelism(2))
-	if _, err := e.RunAll(context.Background(), jobs); err != nil {
+	st := e.Stats()
+	if st.Simulated != 2 || st.TraceGens != 1 || st.TraceShared != 1 {
+		t.Errorf("Simulated=%d TraceGens=%d TraceShared=%d, want 2/1/1", st.Simulated, st.TraceGens, st.TraceShared)
+	}
+	want := int64(jobAccesses(t, retentionJob(t, 1, 0))) * shareBytesPerAccess
+	if st.TraceRetainedBytes != want {
+		t.Errorf("TraceRetainedBytes = %d, want %d (one retained trace)", st.TraceRetainedBytes, want)
+	}
+	if !contains(st.String(), "MiB traces held") {
+		t.Errorf("Stats.String() = %q lacks the held-trace bytes", st.String())
+	}
+}
+
+// heldKeys lists the share keys the engine holds, checking the
+// bookkeeping on the way: every held entry is unreferenced and on the
+// idle list, and the byte total is the sum of their buffers.
+func heldKeys(t *testing.T, e *Engine) map[string]bool {
+	t.Helper()
+	e.shareMu.Lock()
+	defer e.shareMu.Unlock()
+	keys := make(map[string]bool)
+	var bytes int64
+	for k, sh := range e.shares {
+		if sh.refs != 0 || sh.elem == nil || sh.accs == nil {
+			t.Errorf("entry %s: refs=%d, idle=%v, materialized=%v after every job returned", k, sh.refs, sh.elem != nil, sh.accs != nil)
+		}
+		keys[k] = true
+		bytes += sh.bytes
+	}
+	if bytes != e.retainedBytes.Load() || e.idle.Len() != len(e.shares) {
+		t.Errorf("held %d bytes over %d idle entries, bookkeeping says %d bytes over %d", bytes, len(e.shares), e.retainedBytes.Load(), e.idle.Len())
+	}
+	return keys
+}
+
+// TestTraceRetentionEvictsLRU: under a budget of two traces, a third
+// trace evicts the least recently used retained one (not the one just
+// revived) and takes over its buffer; referenced entries are never
+// evicted, even when they hold more than the budget.
+func TestTraceRetentionEvictsLRU(t *testing.T) {
+	ctx := context.Background()
+	traceBytes := int64(jobAccesses(t, retentionJob(t, 1, 0))) * shareBytesPerAccess
+	e := New(WithTraceShareLimit(2 * traceBytes))
+	key := func(seed int64) string {
+		k, _ := shareKey(retentionJob(t, seed, 0))
+		return k
+	}
+	run := func(seed int64, idx int) {
+		t.Helper()
+		if _, err := e.Run(ctx, retentionJob(t, seed, idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1, 0)
+	run(2, 0)
+	run(1, 1) // revives trace 1: trace 2 is now the least recently used
+	e.shareMu.Lock()
+	victimBuf := &e.shares[key(2)].accs[0]
+	e.shareMu.Unlock()
+	run(3, 0)
+	if held := heldKeys(t, e); !held[key(1)] || held[key(2)] || !held[key(3)] {
+		t.Errorf("after a third trace the engine holds %v, want traces 1 and 3", held)
+	}
+	e.shareMu.Lock()
+	reused := &e.shares[key(3)].accs[0] == victimBuf
+	e.shareMu.Unlock()
+	if !reused {
+		t.Error("the new trace did not reuse the evicted trace's buffer")
+	}
+	if st := e.Stats(); st.TraceGens != 3 || st.TraceShared != 1 {
+		t.Errorf("TraceGens=%d TraceShared=%d, want 3/1", st.TraceGens, st.TraceShared)
+	}
+
+	// Three referenced traces exceed the two-trace budget: none may be
+	// evicted while pinned, and the budget is restored on release.
+	pinned := []Job{retentionJob(t, 4, 0), retentionJob(t, 5, 0), retentionJob(t, 6, 0)}
+	unpin := e.pinShares(pinned)
+	for _, j := range pinned {
+		if _, err := e.Run(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.shareMu.Lock()
+	for _, seed := range []int64{4, 5, 6} {
+		if sh := e.shares[key(seed)]; sh == nil || sh.accs == nil {
+			t.Errorf("pinned trace %d was evicted", seed)
+		}
+	}
+	if e.retainedBytes.Load() != 3*traceBytes {
+		t.Errorf("pinned traces hold %d bytes, want %d", e.retainedBytes.Load(), 3*traceBytes)
+	}
+	e.shareMu.Unlock()
+	unpin()
+	if held := heldKeys(t, e); len(held) != 2 || !held[key(5)] || !held[key(6)] {
+		t.Errorf("after unpinning the engine holds %v, want the two most recently released traces", held)
+	}
+	if st := e.Stats(); st.TraceRetainedBytes != 2*traceBytes {
+		t.Errorf("TraceRetainedBytes = %d, want the %d-byte budget", st.TraceRetainedBytes, 2*traceBytes)
+	}
+}
+
+// TestTraceRetentionConcurrent drives acquire, release and eviction from
+// many goroutines at once — single Runs, batches and profile jobs over
+// six traces under a three-trace budget, with the result cache off so
+// every job reaches the sharing layer. Every result must match an
+// unshared engine's, and the bookkeeping must balance once all return.
+// The race pass of tier-1 runs it under the race detector.
+func TestTraceRetentionConcurrent(t *testing.T) {
+	ctx := context.Background()
+	const seeds, models = 6, 2
+	traceBytes := int64(jobAccesses(t, retentionJob(t, 1, 0))) * shareBytesPerAccess
+	ref := New(WithoutTraceSharing())
+	want := make(map[[2]int64][]byte)
+	for seed := int64(1); seed <= seeds; seed++ {
+		for idx := 0; idx < models; idx++ {
+			r, err := ref.Run(ctx, retentionJob(t, seed, idx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[[2]int64{seed, int64(idx)}] = marshal(t, r)
+		}
+	}
+
+	e := New(WithoutCache(), WithTraceShareLimit(3*traceBytes), WithParallelism(4))
+	p, err := workload.ByName("ft")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.TraceGens != 4 {
-		t.Fatalf("TraceGens = %d, want 4", st.TraceGens)
+	check := func(seed int64, idx int, r *system.Result) {
+		if got := marshal(t, r); !bytes.Equal(got, want[[2]int64{seed, int64(idx)}]) {
+			t.Errorf("seed %d model %d: result differs from the unshared engine", seed, idx)
+		}
 	}
-	if n := len(e.traceBufs); n != e.Workers() {
-		t.Errorf("free list holds %d buffers after a 4-trace batch, want %d (one per worker)", n, e.Workers())
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				seed := int64((g+i)%seeds + 1)
+				idx := (g + i) % models
+				switch i % 3 {
+				case 0:
+					r, err := e.Run(ctx, retentionJob(t, seed, idx))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					check(seed, idx, r)
+				case 1:
+					other := seed%seeds + 1
+					rs, err := e.RunAll(ctx, []Job{retentionJob(t, seed, idx), retentionJob(t, other, idx)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					check(seed, idx, rs[0])
+					check(other, idx, rs[1])
+				case 2:
+					j := retentionJob(t, seed, idx)
+					if _, err := e.RunProfile(ctx, StreamProfileJob(p, j.TraceOpts, profile.Config{SetCounts: []int{64}})); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	heldKeys(t, e)
+	if st := e.Stats(); st.TraceRetainedBytes > 3*traceBytes {
+		t.Errorf("TraceRetainedBytes = %d after every job returned, over the %d-byte budget", st.TraceRetainedBytes, 3*traceBytes)
+	}
+	if st := e.Stats(); st.TraceGens < seeds || st.TraceShared == 0 {
+		t.Errorf("TraceGens=%d TraceShared=%d: want every trace generated and some shared", st.TraceGens, st.TraceShared)
 	}
 }

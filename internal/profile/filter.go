@@ -71,13 +71,17 @@ type filterState struct {
 }
 
 // newFilterState builds the per-thread cache stacks out of the
-// scratch's arena.
+// scratch's arena, sized exactly to them.
 func newFilterState(h Hierarchy, threads int, sc *Scratch) (*filterState, error) {
 	l1iCfg, l1dCfg, l2Cfg, err := h.configs()
 	if err != nil {
 		return nil, err
 	}
-	sc.arena.Reset()
+	var need cache.Need
+	need.Add(l1iCfg, threads)
+	need.Add(l1dCfg, threads)
+	need.Add(l2Cfg, threads)
+	sc.arena.Reset(need)
 	fs := &filterState{cores: make([]filterCore, threads), sc: sc}
 	for t := 0; t < threads; t++ {
 		c := &fs.cores[t]

@@ -124,3 +124,48 @@ func TestCoreSweepIsOneBatch(t *testing.T) {
 		t.Errorf("%d speedup rows, want %d", len(res.Speedup), len(cores))
 	}
 }
+
+// TestEstimatorReusesExactTrace: the estimator paths profile, or replay
+// aged points, after their exact batch has returned. The engine retains
+// the batch's traces, so on a fresh engine each path generates every
+// distinct trace once: the figure grid's two workloads, and the single
+// workload of the estimate and degradation studies.
+func TestEstimatorReusesExactTrace(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name     string
+		traces   uint64
+		profiles uint64
+		run      func(Config) error
+	}{
+		{"figure", 2, 2, func(cfg Config) error {
+			_, err := RunFigure(ctx, "estimated", reference.FixedCapacityModels(), []string{"is", "bzip2"}, cfg)
+			return err
+		}},
+		{"estimate", 1, 1, func(cfg Config) error {
+			_, err := Estimate(ctx, cfg, EstimateOptions{})
+			return err
+		}},
+		{"degradation", 1, 1, func(cfg Config) error {
+			_, err := Degradation(ctx, cfg, DegradationOptions{AgesYears: []float64{0.5, 2}})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := engine.New()
+			cfg := Config{Opts: batchOpts, Engine: eng, Estimator: &Estimator{PinExact: []string{"Kang_P"}}}
+			if err := tc.run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			st := eng.Stats()
+			if st.TraceGens != tc.traces || st.Profiles != tc.profiles {
+				t.Errorf("TraceGens = %d, Profiles = %d, want %d/%d (one generation per distinct trace)",
+					st.TraceGens, st.Profiles, tc.traces, tc.profiles)
+			}
+			if st.TraceShared == 0 {
+				t.Error("the profile and later batch shared no trace")
+			}
+		})
+	}
+}

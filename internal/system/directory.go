@@ -34,20 +34,19 @@ type directory struct {
 	stats   DirectoryStats
 }
 
-func newDirectory() *directory {
-	return newDirectoryWith(sharerTable{})
-}
-
-// newDirectoryWith builds a directory on recycled table storage (from a
-// Scratch), clearing any previous contents; a zero table allocates
-// fresh.
-func newDirectoryWith(t sharerTable) *directory {
+// newDirectoryWith builds a directory for a machine whose private
+// caches hold at most lines distinct lines, on recycled table storage
+// (from a Scratch). The table is a power-of-two view of that storage
+// large enough to hold lines entries below the grow threshold; only the
+// view is cleared and probed, so a small machine never pays for the
+// storage a larger one left behind. A zero table allocates fresh.
+func newDirectoryWith(t sharerTable, lines int) *directory {
 	d := &directory{sharers: t}
-	if len(d.sharers.entries) == 0 {
-		d.sharers.init(1 << 10)
-	} else {
-		d.sharers.clear()
+	size := 16
+	for 3*size <= 4*lines {
+		size <<= 1
 	}
+	d.sharers.reset(size)
 	return d
 }
 
@@ -79,25 +78,31 @@ type sharerEntry struct {
 
 // sharerTable is an open-addressed, linear-probed uint64→uint64 hash
 // table holding the directory's line→sharer-mask entries. Invariant: a
-// stored mask is never zero, so mask==0 marks an empty slot. Entries
-// bounded by total private-cache lines keep the load factor low; the
-// table doubles at 3/4 full.
+// stored mask is never zero, so mask==0 marks an empty slot. Entries are
+// bounded by total private-cache lines, which newDirectoryWith sizes the
+// table for; the table still doubles at 3/4 full.
 type sharerTable struct {
 	entries []sharerEntry
 	shift   uint // 64 - log2(len(entries)), for fibonacci hashing
 	used    int
 }
 
-// clear empties the table, keeping its capacity.
-func (t *sharerTable) clear() {
-	for i := range t.entries {
-		t.entries[i] = sharerEntry{}
-	}
-	t.used = 0
+// init gives the table fresh, empty storage of size slots (a power of
+// two).
+func (t *sharerTable) init(size int) {
+	t.entries = nil
+	t.reset(size)
 }
 
-func (t *sharerTable) init(size int) {
-	t.entries = make([]sharerEntry, size)
+// reset empties the table as a size-slot view (a power of two) of its
+// current storage, allocating only when the storage is too small.
+func (t *sharerTable) reset(size int) {
+	if cap(t.entries) >= size {
+		t.entries = t.entries[:size]
+		clear(t.entries)
+	} else {
+		t.entries = make([]sharerEntry, size)
+	}
 	t.shift = 64
 	for s := size; s > 1; s >>= 1 {
 		t.shift--

@@ -153,7 +153,7 @@ func TestInclusionBackInvalidation(t *testing.T) {
 }
 
 func TestDirectoryUnitOps(t *testing.T) {
-	d := newDirectory()
+	d := newDirectoryWith(sharerTable{}, 16)
 	d.noteFill(7, 0)
 	d.noteFill(7, 2)
 	if d.othersHolding(7, 0) != 1<<2 {

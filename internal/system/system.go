@@ -369,7 +369,10 @@ type simulator struct {
 // queues. The zero value is ready to use; after the first run the
 // buffers are retained, making repeated simulations allocation-free on
 // these paths. A Scratch must not be shared by concurrent simulations —
-// the engine pools them across its workers via sync.Pool.
+// the engine keeps one per worker for its whole lifetime. Each run sizes
+// what it uses to its own machine (the arena to its tag stores, the
+// directory to its cores' L2s), so a small run after a large one on the
+// same Scratch clears and probes only its own share of the storage.
 type Scratch struct {
 	// sharers recycles the coherence directory's hash-table storage, so
 	// repeated multi-threaded runs skip the grow-and-rehash ramp.
@@ -430,8 +433,26 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 	if cfg.BlockBytes > 0 {
 		blockBits = uint(bits.TrailingZeros64(uint64(cfg.BlockBytes)))
 	}
+	llcCfg := cache.Config{
+		Name:          "LLC",
+		CapacityBytes: cfg.LLC.CapacityBytes,
+		BlockBytes:    cfg.BlockBytes,
+		Ways:          cfg.LLCWays,
+		Policy:        cfg.LLCPolicy,
+	}
+	l1iCfg := cache.Config{Name: "L1I", CapacityBytes: cfg.L1IBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L1IWays}
+	l1dCfg := cache.Config{Name: "L1D", CapacityBytes: cfg.L1DBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L1DWays}
+	l2Cfg := cache.Config{Name: "L2", CapacityBytes: cfg.L2Bytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L2Ways}
+	// Size the arena to exactly this machine's tag stores.
+	var need cache.Need
+	if cfg.Hybrid == nil {
+		need.Add(llcCfg, 1)
+	}
+	need.Add(l1iCfg, threads)
+	need.Add(l1dCfg, threads)
+	need.Add(l2Cfg, threads)
 	arena := &scratch.arena
-	arena.Reset()
+	arena.Reset(need)
 	var llc *cache.Cache
 	var hybrid *hybridLLC
 	if cfg.Hybrid != nil {
@@ -442,13 +463,7 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 		}
 	} else {
 		var err error
-		llc, err = cache.NewIn(arena, cache.Config{
-			Name:          "LLC",
-			CapacityBytes: cfg.LLC.CapacityBytes,
-			BlockBytes:    cfg.BlockBytes,
-			Ways:          cfg.LLCWays,
-			Policy:        cfg.LLCPolicy,
-		})
+		llc, err = cache.NewIn(arena, llcCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -539,8 +554,10 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 	}
 	if !cfg.DisableCoherence && threads > 1 {
 		// Take over the scratch's recycled table storage (returned by
-		// releaseScratch once the run completes).
-		sim.dir = newDirectoryWith(scratch.sharers)
+		// releaseScratch once the run completes), viewed at this
+		// machine's size: at most every core's L2 full of distinct lines
+		// (L2 is inclusive of L1).
+		sim.dir = newDirectoryWith(scratch.sharers, threads*int(cfg.L2Bytes/int64(max(cfg.BlockBytes, 1))))
 		scratch.sharers = sharerTable{}
 	}
 	for t := 0; t < threads; t++ {
@@ -548,15 +565,15 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 		if err != nil {
 			return nil, err
 		}
-		l1i, err := cache.NewIn(arena, cache.Config{Name: "L1I", CapacityBytes: cfg.L1IBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L1IWays})
+		l1i, err := cache.NewIn(arena, l1iCfg)
 		if err != nil {
 			return nil, err
 		}
-		l1d, err := cache.NewIn(arena, cache.Config{Name: "L1D", CapacityBytes: cfg.L1DBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L1DWays})
+		l1d, err := cache.NewIn(arena, l1dCfg)
 		if err != nil {
 			return nil, err
 		}
-		l2, err := cache.NewIn(arena, cache.Config{Name: "L2", CapacityBytes: cfg.L2Bytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L2Ways})
+		l2, err := cache.NewIn(arena, l2Cfg)
 		if err != nil {
 			return nil, err
 		}
