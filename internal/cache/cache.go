@@ -301,20 +301,11 @@ func (c *Cache) Access(lineAddr uint64, isWrite bool) (hit bool, ev Eviction) {
 	return false, c.fill(base, lineAddr, isWrite)
 }
 
-// BaseOf returns the tag-store index of the first way of lineAddr's set
-// — the value AccessAt consumes. It is pure geometry (mask and multiply
-// over fields that never change after construction), so pre-decode
-// passes may evaluate it from another goroutine while the consumer
-// drives the cache.
-func (c *Cache) BaseOf(lineAddr uint64) int32 {
-	return int32(lineAddr&c.setMask) * int32(c.ways)
-}
-
 // Geometry exposes the set-index parameters a pre-decoder needs to
 // compute set bases without holding the cache: base = (line & mask) × ways.
 func (c *Cache) Geometry() (setMask uint64, ways int) { return c.setMask, c.ways }
 
-// AccessAt is Access with the set base precomputed (BaseOf): the batch
+// AccessAt is Access with the set base precomputed from Geometry: the batch
 // pre-decode pass hoists the shift/mask geometry out of the per-access
 // hot loop and hands the base in as a lane.
 func (c *Cache) AccessAt(base int32, lineAddr uint64, isWrite bool) (hit bool, ev Eviction) {

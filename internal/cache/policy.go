@@ -59,6 +59,17 @@ func (c *Cache) touchHit(base, i int) {
 	}
 }
 
+// lruKey orders a set's ways for LRU eviction: the way's stamp above its
+// index, so the minimum key is the least recently used way and a min()
+// over keys compiles to conditional moves rather than a mispredicting
+// branch. Stamps are unique among valid ways, so the index never decides
+// the order, and the shift loses nothing while stamps stay below 2^56
+// (one per hit or fill). Ways fit the low byte: Config caps them at 255.
+func lruKey(stamp uint64, way int) uint64 { return stamp<<8 | uint64(way) }
+
+// lruWay recovers the way index from the minimum lruKey.
+func lruWay(key uint64) int { return int(key & 0xff) }
+
 // victimWay picks the way to evict from a full set (every way valid).
 func (c *Cache) victimWay(base int) int {
 	switch c.policy {
@@ -66,14 +77,11 @@ func (c *Cache) victimWay(base int) int {
 		// The LRU line holds the set's minimum stamp (stamps are unique:
 		// the clock is monotonic, and a full set means every way was
 		// stamped by this cache instance).
-		stamps := c.stamps[base : base+c.ways]
-		vi, min := 0, stamps[0]
-		for j := 1; j < len(stamps); j++ {
-			if stamps[j] < min {
-				vi, min = j, stamps[j]
-			}
+		best := ^uint64(0)
+		for j, s := range c.stamps[base : base+c.ways] {
+			best = min(best, lruKey(s, j))
 		}
-		return vi
+		return lruWay(best)
 	case SRRIP:
 		meta := c.meta[base : base+c.ways]
 		for {
@@ -102,23 +110,20 @@ func (c *Cache) victimWay(base int) int {
 // semantically identical to the reference layout's capped variants: LRU
 // picks the minimum stamp among valid ways (the reference's last
 // compacted line), SRRIP scans and ages only valid ways, and Random maps
-// one RNG draw onto the occ-th valid slot.
+// one RNG draw onto the occ-th valid slot. occ ≥ 1, so LRU always has a
+// valid way to return.
 func (c *Cache) victimWayCapped(base, occ int) int {
 	switch c.policy {
 	case LRU:
-		meta := c.meta[base : base+c.ways]
 		stamps := c.stamps[base : base+c.ways]
-		vi := -1
-		var min uint64
-		for j := range meta {
-			if meta[j]&metaValid == 0 {
-				continue
-			}
-			if vi < 0 || stamps[j] < min {
-				vi, min = j, stamps[j]
-			}
+		meta := c.meta[base : base+len(stamps)]
+		best := ^uint64(0)
+		for j, s := range stamps {
+			// metaValid is bit 0, so valid-1 is 0 for a valid way and
+			// all ones, never the minimum, for an invalid one.
+			best = min(best, lruKey(s, j)|(uint64(meta[j]&metaValid)-1))
 		}
-		return vi
+		return lruWay(best)
 	case SRRIP:
 		meta := c.meta[base : base+c.ways]
 		for {

@@ -197,3 +197,63 @@ func TestDirtyWritebackUnderAllPolicies(t *testing.T) {
 		}
 	}
 }
+
+// TestLRUVictimMatchesMinScan: the conditional-move LRU victim picks the
+// way a plain minimum-stamp scan picks, over full sets (victimWay) and
+// sets with invalid, disabled ways (victimWayCapped), at every width the
+// key packing must hold, up to the 255-way limit. Stamps are unique among
+// valid ways, as the cache's monotonic clock makes them, and span the
+// full 56-bit range; invalid ways carry arbitrary stamps, often smaller.
+func TestLRUVictimMatchesMinScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, ways := range []int{1, 2, 3, 8, 16, 32, 255} {
+		c, err := New(Config{Name: "lru", CapacityBytes: int64(64 * ways * 4), BlockBytes: 64, Ways: ways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			base := rng.Intn(c.Sets()) * ways
+			stamps := c.stamps[base : base+ways]
+			meta := c.meta[base : base+ways]
+			seen := make(map[uint64]bool, ways)
+			for j := range stamps {
+				s := rng.Uint64() >> 8
+				if trial%2 == 0 {
+					s %= uint64(4 * ways) // dense stamps: neighbours differ by little
+				}
+				for seen[s] {
+					s = (s + 1) & (1<<56 - 1)
+				}
+				seen[s] = true
+				stamps[j] = s
+				meta[j] = metaValid
+			}
+			if got, want := c.victimWay(base), minScan(stamps, meta); got != want {
+				t.Fatalf("%d ways, trial %d: victimWay = %d, min scan = %d", ways, trial, got, want)
+			}
+			occ := ways
+			for j := range meta {
+				if occ > 1 && rng.Intn(3) == 0 {
+					meta[j] = 0
+					stamps[j] = rng.Uint64() >> uint(8+rng.Intn(56))
+					occ--
+				}
+			}
+			if got, want := c.victimWayCapped(base, occ), minScan(stamps, meta); got != want {
+				t.Fatalf("%d ways (%d valid), trial %d: victimWayCapped = %d, min scan = %d", ways, occ, trial, got, want)
+			}
+		}
+	}
+}
+
+// minScan is the plain LRU victim: the first valid way with the smallest
+// stamp.
+func minScan(stamps []uint64, meta []uint8) int {
+	vi := -1
+	for j := range stamps {
+		if meta[j]&metaValid != 0 && (vi < 0 || stamps[j] < stamps[vi]) {
+			vi = j
+		}
+	}
+	return vi
+}

@@ -41,11 +41,12 @@ import (
 // provenance and, with Config, form the cache key — a Source that does
 // not replay workload.NewGenerator over (Workload, TraceOpts), such as a
 // hand-built trace wrapped in trace.NewTraceSource, must disable caching
-// via NoCache. StreamJob builds the generator-backed form.
+// via NoCache. StreamJob builds the generator-backed form, with TraceOpts
+// resolved.
 type Job struct {
 	// Workload is the trace/workload name.
 	Workload string
-	// TraceOpts are the generation options the Source replays.
+	// TraceOpts are the resolved generation options the Source replays.
 	TraceOpts workload.Options
 	// Config is the simulated machine.
 	Config system.Config
@@ -64,8 +65,12 @@ type Job struct {
 
 // StreamJob builds the generator-backed job for a named workload: the
 // generator is constructed per simulation from the (profile, options)
-// pair the cache key names.
+// pair the cache key names. The job carries the resolved options
+// (workload.Profile.Resolve), so every spelling of one trace — Threads 0
+// or 4 on a multi-threaded profile, any Threads on a single-threaded one
+// — keys, shares and memoizes as that one trace.
 func StreamJob(p workload.Profile, opts workload.Options, cfg system.Config) Job {
+	opts = p.Resolve(opts)
 	return Job{
 		Workload:  p.Name,
 		TraceOpts: opts,

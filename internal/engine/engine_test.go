@@ -280,6 +280,36 @@ func TestKeyDeterministicAndDiscriminating(t *testing.T) {
 	}
 }
 
+// TestStreamJobKeyResolvesSpellings: StreamJob keys the trace the
+// generator replays, so spellings of one trace share a key — Threads 0
+// and 4 on a multi-threaded profile, any Threads on a single-threaded
+// one — and options that change the trace change it.
+func TestStreamJobKeyResolvesSpellings(t *testing.T) {
+	key := func(name string, accesses, threads int, seed int64) string {
+		opts := workload.Options{Accesses: accesses, Threads: threads, Seed: seed}
+		return mustKey(t, testJob(t, name, opts))
+	}
+	cases := []struct {
+		what string
+		a, b string
+		same bool
+	}{
+		{"ft, Threads 0 vs 4", key("ft", 20000, 0, 7), key("ft", 20000, 4, 7), true},
+		{"bzip2, Threads 0 vs 1", key("bzip2", 20000, 0, 7), key("bzip2", 20000, 1, 7), true},
+		{"bzip2, Threads 0 vs 8", key("bzip2", 20000, 0, 7), key("bzip2", 20000, 8, 7), true},
+		{"ft, Threads 4 vs 8", key("ft", 20000, 4, 7), key("ft", 20000, 8, 7), false},
+		{"ft, Accesses", key("ft", 20000, 4, 7), key("ft", 40000, 4, 7), false},
+		{"ft, Seed", key("ft", 20000, 4, 7), key("ft", 20000, 4, 8), false},
+		{"bzip2, Accesses", key("bzip2", 20000, 8, 7), key("bzip2", 40000, 8, 7), false},
+		{"bzip2, Seed", key("bzip2", 20000, 8, 7), key("bzip2", 20000, 8, 8), false},
+	}
+	for _, c := range cases {
+		if (c.a == c.b) != c.same {
+			t.Errorf("%s: keys equal = %v, want %v", c.what, c.a == c.b, c.same)
+		}
+	}
+}
+
 func TestKeyHashesHybridByValue(t *testing.T) {
 	j := testJob(t, "bzip2", smallOpts())
 	model := reference.FixedCapacityModels()[1]

@@ -10,7 +10,8 @@ import (
 // is cacheable at all.
 //
 // The key hashes the trace's provenance — workload name plus the
-// workload.Options it was generated with — and the full system.Config
+// resolved workload.Options it was generated with, so equivalent
+// spellings of one trace share a key — and the full system.Config
 // value (core model, cache geometry, LLC model, policies, DRAM
 // parameters; the hybrid configuration is hashed by value when present).
 // Two jobs with equal keys are guaranteed to simulate identically,

@@ -27,7 +27,8 @@ import (
 type ProfileJob struct {
 	// Workload is the trace/workload name.
 	Workload string
-	// TraceOpts are the generation options that produced the trace.
+	// TraceOpts are the resolved generation options that produced the
+	// trace.
 	TraceOpts workload.Options
 	// Config selects the set counts and histogram bound.
 	Config profile.Config
@@ -45,8 +46,10 @@ type ProfileJob struct {
 
 // StreamProfileJob builds a streaming profile job for a named workload,
 // sharing its generated trace with any simulation jobs over the same
-// (profile, options) pair.
+// (profile, options) pair. Like StreamJob, it carries the resolved
+// options.
 func StreamProfileJob(p workload.Profile, opts workload.Options, pc profile.Config) ProfileJob {
+	opts = p.Resolve(opts)
 	return ProfileJob{
 		Workload:  p.Name,
 		TraceOpts: opts,

@@ -18,6 +18,7 @@ package prism
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nvmllc/internal/trace"
@@ -155,19 +156,32 @@ func Characterize(t *trace.Trace, cfg Config) Features {
 // distribution given by per-address access counts:
 // H = -Σ p(x_i)·log2(p(x_i)) with p(x_i) the access frequency of address i.
 // An empty or single-address distribution has zero entropy.
+//
+// Addresses seen equally often contribute equally, so the sum runs over
+// the distinct counts k, in ascending order, each term weighted by the
+// number m_k of addresses seen k times. The fixed order makes the result
+// bit-identical from run to run, where a sum in map order is not.
 func Entropy(counts map[uint64]uint64) float64 {
 	n := total(counts)
 	if n == 0 {
 		return 0
 	}
+	mult := make(map[uint64]uint64)
+	for _, c := range counts {
+		if c != 0 {
+			mult[c]++
+		}
+	}
+	ks := make([]uint64, 0, len(mult))
+	for k := range mult {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
 	var h float64
 	fn := float64(n)
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / fn
-		h -= p * math.Log2(p)
+	for _, k := range ks {
+		p := float64(k) / fn
+		h -= float64(mult[k]) * p * math.Log2(p)
 	}
 	if h < 0 { // guard against -0 from rounding
 		h = 0

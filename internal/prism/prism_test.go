@@ -156,11 +156,33 @@ func TestProfilerStreamingMatchesBatch(t *testing.T) {
 	p := NewProfiler(Config{})
 	p.ObserveStream(trace.NewSliceStream(tr.Accesses))
 	stream := p.Features()
-	// Entropy sums floats in map order, so allow rounding-level slack.
 	b, s := batch.Vector(), stream.Vector()
 	for i := range b {
-		if math.Abs(b[i]-s[i]) > 1e-9*math.Max(1, math.Abs(b[i])) {
+		if math.Float64bits(b[i]) != math.Float64bits(s[i]) {
 			t.Errorf("feature %s: streaming %g != batch %g", FeatureNames[i], s[i], b[i])
+		}
+	}
+}
+
+// TestCharacterizeBitIdentical: characterizing one trace again must give
+// the same features to the last bit. The counts live in maps, whose
+// iteration order changes from run to run, so a sum in map order would
+// not (a skewed trace with many distinct counts makes that near certain).
+func TestCharacterizeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1<<14)
+	tr := &trace.Trace{Name: "skew", Threads: 1}
+	for i := 0; i < 50000; i++ {
+		tr.Accesses = append(tr.Accesses, trace.Access{Addr: zipf.Uint64() << 6, Kind: trace.Kind(rng.Intn(2))})
+	}
+	tr.InstrCount = uint64(len(tr.Accesses))
+	first := Characterize(tr, Config{}).Vector()
+	for rep := 0; rep < 10; rep++ {
+		again := Characterize(tr, Config{}).Vector()
+		for i := range first {
+			if math.Float64bits(again[i]) != math.Float64bits(first[i]) {
+				t.Fatalf("repetition %d: feature %s is %v, first characterization %v", rep, FeatureNames[i], again[i], first[i])
+			}
 		}
 	}
 }

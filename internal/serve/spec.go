@@ -120,17 +120,9 @@ func buildSimJob(s JobSpec, defaultAccesses int) (engine.Job, error) {
 	if accesses <= 0 {
 		accesses = defaultAccesses
 	}
-	threads := s.Threads
-	if threads <= 0 {
-		threads = 4
-	}
 	cores := s.Cores
 	if cores <= 0 {
 		cores = 4
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
 	}
 
 	cfg := system.Gainestown(model).WithCores(cores)
@@ -154,7 +146,8 @@ func buildSimJob(s JobSpec, defaultAccesses int) (engine.Job, error) {
 		}
 		cfg.TrackWear = false // unsupported in hybrid mode
 	}
-	opts := workload.Options{Accesses: accesses, Threads: threads, Seed: seed}
+	// StreamJob resolves the thread count and seed defaults (4 and 1).
+	opts := workload.Options{Accesses: accesses, Threads: s.Threads, Seed: s.Seed}
 	return engine.StreamJob(profile, opts, cfg), nil
 }
 

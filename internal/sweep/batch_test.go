@@ -6,6 +6,7 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,6 +123,40 @@ func TestCoreSweepIsOneBatch(t *testing.T) {
 	}
 	if len(res.Speedup) != len(cores) {
 		t.Errorf("%d speedup rows, want %d", len(res.Speedup), len(cores))
+	}
+}
+
+// TestCoreSweepReusesFigure2b: Figure 2b's cells are the core sweep's
+// 4-core points — the same trace (Threads 0 resolves to 4) on the same
+// machine — so after Figure 2b the sweep answers all of them from the
+// cache, simulates only the other core counts, and returns what a fresh
+// engine computes.
+func TestCoreSweepReusesFigure2b(t *testing.T) {
+	ctx := context.Background()
+	cores := []int{2, 4}
+	models := len(reference.FixedAreaModels())
+	eng := engine.New()
+	if _, err := Figure2b(ctx, Config{Opts: batchOpts, Engine: eng}); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	got, err := CoreSweep(ctx, "ft", cores, Config{Opts: batchOpts, Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if cached := st.Cached - before.Cached; cached != uint64(models) {
+		t.Errorf("core sweep after Figure 2b: %d points cached, want the %d 4-core points", cached, models)
+	}
+	if sim := st.Simulated - before.Simulated; sim != uint64(models+1) {
+		t.Errorf("core sweep after Figure 2b: %d points simulated, want %d (2 cores plus the 1-core baseline)", sim, models+1)
+	}
+	want, err := CoreSweep(ctx, "ft", cores, Config{Opts: batchOpts, Engine: engine.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("core sweep answered from Figure 2b's cache differs from a fresh engine's")
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"nvmllc/internal/engine"
 	"nvmllc/internal/nvsim"
@@ -86,6 +87,19 @@ func (c Config) engineOrNew() *engine.Engine {
 		opts = append(opts, engine.WithTelemetry(c.Telemetry))
 	}
 	return engine.New(opts...)
+}
+
+// workers is the concurrency bound of work the sweep runs outside the
+// engine: the shared engine's worker count, else Parallelism, else
+// GOMAXPROCS.
+func (c Config) workers() int {
+	if c.Engine != nil {
+		return c.Engine.Workers()
+	}
+	if c.Parallelism > 0 {
+		return c.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // startSpan opens a sweep-level span and threads it through the returned

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"nvmllc/internal/reference"
@@ -284,6 +286,35 @@ func TestTableVIMeasuredAgainstPaper(t *testing.T) {
 		if r.Paper.TotalReads == 0 {
 			t.Errorf("%s: missing paper features", r.Workload)
 		}
+	}
+}
+
+// TestTableVIParallelMatchesSerial: characterizing the workloads side by
+// side gives the rows, in workload order, that one worker gives, to the
+// last bit; a cancelled context fails the table.
+func TestTableVIParallelMatchesSerial(t *testing.T) {
+	ctx := context.Background()
+	opts := workload.Options{Accesses: 5000, Seed: 3}
+	serial, err := TableVI(ctx, Config{Opts: opts, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range workload.CharacterizedNames() {
+		if serial[i].Workload != name {
+			t.Fatalf("row %d is %s, want %s", i, serial[i].Workload, name)
+		}
+	}
+	parallel, err := TableVI(ctx, Config{Opts: opts, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("TableVI rows differ between 1 and 4 workers")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := TableVI(cancelled, Config{Opts: opts, Parallelism: 4}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled TableVI: err %v, want context.Canceled", err)
 	}
 }
 

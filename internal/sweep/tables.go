@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
 
 	"nvmllc/internal/nvsim"
 	"nvmllc/internal/prism"
@@ -56,29 +59,53 @@ type TableVIRow struct {
 }
 
 // TableVI characterizes the 16 PRISM-compatible workloads with the prism
-// profiler and pairs each with the paper's published features.
+// profiler and pairs each with the paper's published features. The
+// workloads are characterized side by side, one per worker (the engine's
+// bound, or cfg.Parallelism without one); rows keep the workload order.
 func TableVI(ctx context.Context, cfg Config) ([]TableVIRow, error) {
 	_, span := cfg.startSpan(ctx, "table_vi")
 	defer span.End()
 	paper := reference.PaperFeatures()
-	rows := make([]TableVIRow, 0, 16)
-	for _, name := range workload.CharacterizedNames() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := workload.Generate(p, cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, TableVIRow{
-			Workload: name,
-			Measured: prism.Characterize(tr, prism.Config{}),
-			Paper:    paper[name],
-		})
+	names := workload.CharacterizedNames()
+	rows := make([]TableVIRow, len(names))
+	errs := make([]error, len(names))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(cfg.workers(), len(names)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(names) {
+					return
+				}
+				name := names[i]
+				var f prism.Features
+				f, errs[i] = characterize(ctx, name, cfg.Opts)
+				rows[i] = TableVIRow{Workload: name, Measured: f, Paper: paper[name]}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// characterize generates one workload's trace and profiles it.
+func characterize(ctx context.Context, name string, opts workload.Options) (prism.Features, error) {
+	if err := ctx.Err(); err != nil {
+		return prism.Features{}, err
+	}
+	p, err := workload.ByName(name)
+	if err != nil {
+		return prism.Features{}, err
+	}
+	tr, err := workload.Generate(p, opts)
+	if err != nil {
+		return prism.Features{}, err
+	}
+	return prism.Characterize(tr, prism.Config{}), nil
 }

@@ -39,11 +39,8 @@ func NewGenerator(p Profile, opts Options) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	threads := 1
-	if p.MT {
-		threads = opts.Threads
-	}
+	opts = p.Resolve(opts)
+	threads := opts.Threads
 	if threads > 64 {
 		return nil, fmt.Errorf("workload %s: %d threads exceeds limit 64", p.Name, threads)
 	}

@@ -155,17 +155,24 @@ type Options struct {
 	// (default 1_000_000).
 	Accesses int
 	// Threads is the thread count for MT profiles (default 4;
-	// single-threaded profiles ignore it).
+	// single-threaded profiles always run 1).
 	Threads int
 	// Seed selects the deterministic random stream (default 1).
 	Seed int64
 }
 
-func (o Options) withDefaults() Options {
+// Resolve returns the options the profile's generator actually runs
+// with: zero fields take their defaults, and a single-threaded profile
+// runs one thread whatever Threads says. Two Options values that resolve
+// equal produce the identical trace, so the resolved form is the
+// trace's identity.
+func (p Profile) Resolve(o Options) Options {
 	if o.Accesses <= 0 {
 		o.Accesses = 1_000_000
 	}
-	if o.Threads <= 0 {
+	if !p.MT {
+		o.Threads = 1
+	} else if o.Threads <= 0 {
 		o.Threads = 4
 	}
 	if o.Seed == 0 {
