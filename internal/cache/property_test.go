@@ -98,6 +98,10 @@ func TestSoAMatchesReferenceLayout(t *testing.T) {
 	}
 	const opsPerConfig = 20_000 // × 4 geometries × 3 policies = 240k ops
 	totalOps, condemned, deadSets := 0, 0, 0
+	// Every cache under test is carved from an arena a previous cycle
+	// soiled: its tags, meta and LRU stamps hold that cycle's lines and
+	// clock values until the new window is carved over them.
+	var arena Arena
 	for _, p := range []Policy{LRU, SRRIP, Random} {
 		for gi, g := range geometries {
 			cfg := Config{
@@ -107,7 +111,19 @@ func TestSoAMatchesReferenceLayout(t *testing.T) {
 				Ways:          g.ways,
 				Policy:        p,
 			}
-			soa, err := New(cfg)
+			var need Need
+			need.Add(cfg, 1)
+			arena.Reset(need)
+			soil, err := NewIn(&arena, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			soilRng := rand.New(rand.NewSource(int64(gi) + 5))
+			for op := 0; op < 8*g.sets*g.ways; op++ {
+				soil.Access(soilRng.Uint64()%uint64(4*g.sets*g.ways), soilRng.Intn(2) == 0)
+			}
+			arena.Reset(need)
+			soa, err := NewIn(&arena, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -104,10 +104,11 @@ type Stats struct {
 	// exactly one of the four outcome counters, and Stats.Jobs() equals
 	// submissions.
 	Upgraded uint64
-	// Accesses is the total trace accesses simulated (cache hits excluded).
+	// Accesses is the total trace accesses simulated, per job (cache hits
+	// excluded): a pass answering K jobs adds K times its trace length.
 	Accesses uint64
-	// SimWallNS is the summed wall-clock time spent inside simulations,
-	// across all workers.
+	// SimWallNS is the summed wall-clock time spent inside simulation
+	// passes, across all workers.
 	SimWallNS int64
 	// TraceGens counts trace materializations the sharing layer performed
 	// (share.go); TraceShared counts simulations answered from an already
@@ -118,6 +119,12 @@ type Stats struct {
 	// TraceRetainedBytes is the budget the sharing layer's materialized
 	// traces hold right now, in use or retained for later jobs.
 	TraceRetainedBytes int64
+	// Passes counts simulation passes: functional walks of a trace, each
+	// answering one or more simulated or upgraded jobs (RunAll groups
+	// single-threaded design points that differ only in timing). SimWallNS
+	// counts each pass once, so SimWallNS/Accesses falls as passes answer
+	// more jobs.
+	Passes uint64
 	// Profiles counts reuse-distance profiling passes actually executed
 	// (profilejob.go); ProfileHits counts profile requests answered from
 	// the profile cache (memory or store). Profile jobs are a separate
@@ -137,6 +144,9 @@ func (s Stats) String() string {
 		time.Duration(s.SimWallNS).Seconds())
 	if s.Upgraded > 0 {
 		out = fmt.Sprintf("%s, %d upgraded", out, s.Upgraded)
+	}
+	if s.Passes > 0 && s.Passes < s.Simulated+s.Upgraded+s.Failed {
+		out = fmt.Sprintf("%s, %d passes", out, s.Passes)
 	}
 	if s.TraceShared > 0 {
 		out = fmt.Sprintf("%s, %d traces generated / %d shared", out, s.TraceGens, s.TraceShared)
@@ -169,7 +179,8 @@ type Event struct {
 	// Result is the design point's outcome (nil on failure). Manifest
 	// writers read per-level statistics from it; treat it as immutable.
 	Result *system.Result
-	// WallNS is the wall-clock time the simulation took.
+	// WallNS is the wall-clock time the simulation took: the whole pass's,
+	// when the design point shared a pass with others.
 	WallNS int64
 	// Stats is the engine snapshot after this job.
 	Stats Stats
@@ -272,6 +283,7 @@ type Engine struct {
 	failed      atomic.Uint64
 	accesses    atomic.Uint64
 	simWallNS   atomic.Int64
+	passes      atomic.Uint64
 	traceGens   atomic.Uint64
 	traceShared atomic.Uint64
 	profiled    atomic.Uint64
@@ -309,6 +321,7 @@ func (e *Engine) Stats() Stats {
 		Failed:      e.failed.Load(),
 		Accesses:    e.accesses.Load(),
 		SimWallNS:   e.simWallNS.Load(),
+		Passes:      e.passes.Load(),
 		TraceGens:   e.traceGens.Load(),
 		TraceShared: e.traceShared.Load(),
 		Profiles:    e.profiled.Load(),
@@ -320,17 +333,24 @@ func (e *Engine) Stats() Stats {
 
 // Run answers one design point, from the cache when possible. Identical
 // concurrent requests share a single simulation. A cancelled context
-// returns promptly with ctx.Err().
+// returns promptly with ctx.Err(). Run always simulates a pass of one;
+// RunAll is where design points share passes.
 func (e *Engine) Run(ctx context.Context, j Job) (*system.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	key, cacheable := Key(j)
+	return e.run(ctx, j, key, cacheable)
+}
+
+// run is Run with the job's cache key already computed.
+func (e *Engine) run(ctx context.Context, j Job, key string, cacheable bool) (*system.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key, cacheable := Key(j)
 	if e.cacheOff || !cacheable {
-		return e.simulate(ctx, j)
+		res, err := e.simulate(ctx, []Job{j}, []string{""}, false)
+		return res[0], err
 	}
 	// A job that wants a timeline cannot be answered by a cached result
 	// simulated without one (the key excludes Config.Timeline, so both
@@ -339,49 +359,20 @@ func (e *Engine) Run(ctx context.Context, j Job) (*system.Result, error) {
 	wantTimeline := j.Config.Timeline != nil || e.timeline != nil
 	upgrade := false
 	for {
-		e.mu.Lock()
-		ent, ok := e.results[key]
-		if !ok {
-			ent = &entry{done: make(chan struct{})}
-			e.results[key] = ent
-			e.mu.Unlock()
-
+		ent, claimed := e.claim(key)
+		if claimed {
 			// Consult the persistent tier before simulating. An upgrade
 			// skips it: the stored result is the very timeline-less one
 			// being retired.
-			if !upgrade && e.store != nil {
-				if res, hit := e.store.Load(key); hit && (!wantTimeline || res.Timeline != nil) {
-					ent.res = res
-					close(ent.done)
-					e.cached.Add(1)
-					e.reg.Counter("engine_jobs_total", "outcome", "cached").Inc()
-					e.reg.Counter("engine_store_total", "outcome", "hit").Inc()
-					e.emit(j, key, res, true, false, nil, 0)
+			if !upgrade {
+				if res, hit := e.fromStore(j, key, ent, wantTimeline); hit {
 					return res, nil
 				}
-				e.reg.Counter("engine_store_total", "outcome", "miss").Inc()
 			}
-
-			ent.res, ent.err = e.simulateKeyed(ctx, j, key, upgrade)
-			if ent.err != nil {
-				// Do not cache failures (typically cancellations): the next
-				// run must be able to retry.
-				e.mu.Lock()
-				delete(e.results, key)
-				e.mu.Unlock()
-			} else if e.store != nil {
-				// Persist best-effort; an unwritable store never fails the
-				// job. Upgrades overwrite the stale timeline-less entry.
-				if serr := e.store.Store(key, ent.res); serr != nil {
-					e.reg.Counter("engine_store_total", "outcome", "write_error").Inc()
-				} else {
-					e.reg.Counter("engine_store_total", "outcome", "write").Inc()
-				}
-			}
-			close(ent.done)
+			res, err := e.simulate(ctx, []Job{j}, []string{key}, upgrade)
+			e.settle(key, ent, res[0], err)
 			return ent.res, ent.err
 		}
-		e.mu.Unlock()
 		select {
 		case <-ent.done:
 		case <-ctx.Done():
@@ -413,87 +404,155 @@ func (e *Engine) Run(ctx context.Context, j Job) (*system.Result, error) {
 	}
 }
 
-// simulate executes the job and updates counters.
-func (e *Engine) simulate(ctx context.Context, j Job) (*system.Result, error) {
-	return e.simulateKeyed(ctx, j, "", false)
+// claim returns key's cache entry and whether this call created it; the
+// creator must compute the result and settle the entry, everyone else
+// waits on its done channel.
+func (e *Engine) claim(key string) (*entry, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ent, ok := e.results[key]; ok {
+		return ent, false
+	}
+	ent := &entry{done: make(chan struct{})}
+	e.results[key] = ent
+	return ent, true
 }
 
-// simulateKeyed executes the job. upgrade marks a timeline-upgrade
-// re-simulation, which counts toward Stats.Upgraded instead of
-// Stats.Simulated and emits an "upgrade" event rather than a second
-// "simulate" for the same key.
-func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade bool) (*system.Result, error) {
-	if e.reg != nil && j.Config.Telemetry == nil {
-		// Job is a value, so this stays local: every simulation run by an
-		// instrumented engine publishes system-level metrics too. The cache
-		// key already excludes Telemetry, so identity is unchanged.
-		j.Config.Telemetry = e.reg
+// fromStore answers a claimed entry from the persistent tier when it
+// holds a usable result, counting and reporting the hit.
+func (e *Engine) fromStore(j Job, key string, ent *entry, wantTimeline bool) (*system.Result, bool) {
+	if e.store == nil {
+		return nil, false
 	}
-	if e.timeline != nil && j.Config.Timeline == nil {
-		// Same propagation for the engine-wide sampling default; copied so
-		// a job can never alias the engine's config.
-		tc := *e.timeline
-		j.Config.Timeline = &tc
+	if res, hit := e.store.Load(key); hit && (!wantTimeline || res.Timeline != nil) {
+		ent.res = res
+		close(ent.done)
+		e.cached.Add(1)
+		e.reg.Counter("engine_jobs_total", "outcome", "cached").Inc()
+		e.reg.Counter("engine_store_total", "outcome", "hit").Inc()
+		e.emit(j, key, res, true, false, nil, 0)
+		return res, true
+	}
+	e.reg.Counter("engine_store_total", "outcome", "miss").Inc()
+	return nil, false
+}
+
+// settle records a claimed entry's outcome and releases its waiters.
+func (e *Engine) settle(key string, ent *entry, res *system.Result, err error) {
+	ent.res, ent.err = res, err
+	if err != nil {
+		// Do not cache failures (typically cancellations): the next run
+		// must be able to retry.
+		e.mu.Lock()
+		delete(e.results, key)
+		e.mu.Unlock()
+	} else if e.store != nil {
+		// Persist best-effort; an unwritable store never fails the job.
+		// Upgrades overwrite the stale timeline-less entry.
+		if serr := e.store.Store(key, res); serr != nil {
+			e.reg.Counter("engine_store_total", "outcome", "write_error").Inc()
+		} else {
+			e.reg.Counter("engine_store_total", "outcome", "write").Inc()
+		}
+	}
+	close(ent.done)
+}
+
+// simulate runs one simulation pass answering every job of js (keys
+// aligned, "" for uncacheable jobs) and updates the counters: each job
+// counts, reports and emits as its own design point, with the pass's wall
+// time as its own. A pass of several jobs is one functional walk of
+// their shared trace (system.RunStreamGroup); RunAll forms those. upgrade
+// marks a timeline-upgrade re-simulation, which counts toward
+// Stats.Upgraded instead of Stats.Simulated and emits an "upgrade" event
+// rather than a second "simulate" for the same key. The returned slice
+// is aligned with js; the error is the pass's.
+func (e *Engine) simulate(ctx context.Context, js []Job, keys []string, upgrade bool) ([]*system.Result, error) {
+	cfgs := make([]system.Config, len(js))
+	for k, j := range js {
+		cfg := j.Config
+		if e.reg != nil && cfg.Telemetry == nil {
+			// Config is a value, so this stays local: every simulation run
+			// by an instrumented engine publishes system-level metrics too.
+			// The cache key already excludes Telemetry, so identity is
+			// unchanged.
+			cfg.Telemetry = e.reg
+		}
+		if e.timeline != nil && cfg.Timeline == nil {
+			// Same propagation for the engine-wide sampling default;
+			// copied so a job can never alias the engine's config.
+			tc := *e.timeline
+			cfg.Timeline = &tc
+		}
+		cfgs[k] = cfg
 	}
 	spanName := "simulate"
 	if upgrade {
 		spanName = "upgrade"
 	}
-	span := e.reg.StartSpan(spanName, telemetry.SpanFromContext(ctx))
-	span.SetAttr("workload", j.Workload)
-	span.SetAttr("llc", j.LLCName())
+	spans := make([]*telemetry.Span, len(js))
+	for k, j := range js {
+		spans[k] = e.reg.StartSpan(spanName, telemetry.SpanFromContext(ctx))
+		spans[k].SetAttr("workload", j.Workload)
+		spans[k].SetAttr("llc", j.LLCName())
+	}
 	scratch := e.takeScratch()
 	start := time.Now()
-	var res *system.Result
-	var err error
-	var accesses uint64
-	if j.Source != nil {
-		res, accesses, err = e.runSource(ctx, j, scratch)
-	} else {
-		err = fmt.Errorf("engine: job %s on %s has no trace source", j.Workload, j.LLCName())
-	}
+	res, accesses, err := e.runSource(ctx, js, cfgs, scratch)
 	wall := time.Since(start).Nanoseconds()
 	e.putScratch(scratch)
 	e.simWallNS.Add(wall)
-	e.reg.Histogram("engine_job_wall_ns").Observe(float64(wall))
-	if err != nil {
-		e.failed.Add(1)
-		e.reg.Counter("engine_jobs_total", "outcome", "failed").Inc()
-		span.SetAttr("error", err.Error())
-	} else {
-		// An upgrade is real simulation work (accesses and wall time
-		// count) but answers the same submission a cache hit would have,
-		// so it lands in the Upgraded counter and Jobs() stays equal to
-		// submissions.
-		if upgrade {
-			e.upgraded.Add(1)
-			e.reg.Counter("engine_jobs_total", "outcome", "upgraded").Inc()
-		} else {
-			e.simulated.Add(1)
-			e.reg.Counter("engine_jobs_total", "outcome", "simulated").Inc()
-		}
-		e.accesses.Add(accesses)
-		e.reg.Histogram("engine_job_llc_hits").Observe(float64(res.LLC.Hits))
+	e.passes.Add(1)
+	e.reg.Counter("engine_passes_total").Inc()
+	if res == nil {
+		res = make([]*system.Result, len(js))
 	}
-	span.End()
-	e.emit(j, key, res, false, upgrade, err, wall)
+	for k, j := range js {
+		e.reg.Histogram("engine_job_wall_ns").Observe(float64(wall))
+		if err != nil {
+			e.failed.Add(1)
+			e.reg.Counter("engine_jobs_total", "outcome", "failed").Inc()
+			spans[k].SetAttr("error", err.Error())
+		} else {
+			// An upgrade is real simulation work (accesses and wall time
+			// count) but answers the same submission a cache hit would
+			// have, so it lands in the Upgraded counter and Jobs() stays
+			// equal to submissions.
+			if upgrade {
+				e.upgraded.Add(1)
+				e.reg.Counter("engine_jobs_total", "outcome", "upgraded").Inc()
+			} else {
+				e.simulated.Add(1)
+				e.reg.Counter("engine_jobs_total", "outcome", "simulated").Inc()
+			}
+			e.accesses.Add(accesses)
+			e.reg.Histogram("engine_job_llc_hits").Observe(float64(res[k].LLC.Hits))
+		}
+		spans[k].End()
+		e.emit(j, keys[k], res[k], false, upgrade, err, wall)
+	}
 	return res, err
 }
 
-// runSource simulates a streamed job, through the sharing layer when the
-// job takes part in it.
-func (e *Engine) runSource(ctx context.Context, j Job, scratch *system.Scratch) (*system.Result, uint64, error) {
+// runSource simulates one pass over the jobs' shared trace, through the
+// sharing layer when the jobs take part in it. It reports the trace's
+// access count, which every job of the pass simulated.
+func (e *Engine) runSource(ctx context.Context, js []Job, cfgs []system.Config, scratch *system.Scratch) ([]*system.Result, uint64, error) {
+	j := js[0]
+	if j.Source == nil {
+		return nil, 0, fmt.Errorf("engine: job %s on %s has no trace source", j.Workload, j.LLCName())
+	}
 	src, err := j.Source()
 	if err != nil {
 		return nil, 0, err
 	}
 	accesses := uint64(src.Meta().Accesses)
-	src, release, err := e.sharedSource(j, src)
+	src, release, err := e.sharedSource(j, src, len(js))
 	if err != nil {
 		return nil, 0, err
 	}
 	defer release()
-	res, err := system.RunStreamWith(ctx, j.Config, src, scratch)
+	res, err := system.RunStreamGroup(ctx, cfgs, src, scratch)
 	return res, accesses, err
 }
 
@@ -538,36 +597,124 @@ func (e *Engine) emit(j Job, key string, res *system.Result, cachedHit, upgraded
 // a result slice aligned with jobs — entries are nil for failed jobs —
 // plus every failure joined with errors.Join (context errors are folded
 // into one), so callers can render what completed.
+//
+// Jobs that can share a functional pass (see batchPasses) run as one
+// pass on one worker: a fixed-capacity technology sweep of a
+// single-threaded workload walks its trace once, however many LLC
+// models it prices.
 func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*system.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// Pin every distinct shareable trace for the batch, so none is
 	// evicted before the batch's last job needs it (share.go).
-	unpin := e.pinShares(jobs)
+	traces := make([]string, len(jobs))
+	for i, j := range jobs {
+		traces[i], _ = shareKey(j)
+	}
+	unpin := e.pinShares(traces)
 	defer unpin()
 	results := make([]*system.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	sem := make(chan struct{}, e.Workers())
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for _, unit := range e.batchPasses(jobs, traces) {
 		// Acquiring the slot here (not in the goroutine) bounds the pool
 		// and lets cancellation stop submission immediately.
 		select {
 		case <-ctx.Done():
-			errs[i] = ctx.Err()
+			for _, i := range unit {
+				errs[i] = ctx.Err()
+			}
 			continue
 		case sem <- struct{}{}:
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(unit []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = e.Run(ctx, jobs[i])
-		}(i)
+			if len(unit) == 1 {
+				i := unit[0]
+				results[i], errs[i] = e.Run(ctx, jobs[i])
+				return
+			}
+			e.runPass(ctx, jobs, unit, results, errs)
+		}(unit)
 	}
 	wg.Wait()
 	return results, joinJobErrors(jobs, errs)
+}
+
+// batchPasses partitions a batch into the units its workers run, in
+// order of each unit's first job; traces are the jobs' share keys (""
+// for unshareable jobs). Groupable jobs over the same trace and machine
+// (system.Config.SameMachine) form one unit; every other job is a unit
+// of its own. A job is groupable when it is cacheable (so its key vouches
+// for its trace), its resolved trace is single-threaded, and neither it
+// nor the engine asks for a timeline or any other system.Config.Groupable
+// exclusion.
+func (e *Engine) batchPasses(jobs []Job, traces []string) [][]int {
+	var units [][]int
+	byTrace := make(map[string][]int) // share key → its group units
+	for i, j := range jobs {
+		sk := traces[i]
+		if sk == "" || e.cacheOff || e.timeline != nil ||
+			j.TraceOpts.Threads != 1 || !j.Config.Groupable() {
+			units = append(units, []int{i})
+			continue
+		}
+		joined := false
+		for _, u := range byTrace[sk] {
+			if jobs[units[u][0]].Config.SameMachine(j.Config) {
+				units[u] = append(units[u], i)
+				joined = true
+				break
+			}
+		}
+		if !joined {
+			byTrace[sk] = append(byTrace[sk], len(units))
+			units = append(units, []int{i})
+		}
+	}
+	return units
+}
+
+// runPass answers a unit of groupable jobs. Each job claims its own
+// cache entry, as Run would: those already cached, in flight or in the
+// persistent store are answered that way, and the rest simulate together
+// in one pass. Duplicates within the unit wait on the first's entry.
+func (e *Engine) runPass(ctx context.Context, jobs []Job, unit []int, results []*system.Result, errs []error) {
+	var members, later []int
+	var pass []Job
+	var keys, laterKeys []string
+	var ents []*entry
+	for _, i := range unit {
+		key, _ := Key(jobs[i])
+		ent, claimed := e.claim(key)
+		if !claimed {
+			later = append(later, i)
+			laterKeys = append(laterKeys, key)
+			continue
+		}
+		if res, hit := e.fromStore(jobs[i], key, ent, false); hit {
+			results[i] = res
+			continue
+		}
+		members = append(members, i)
+		pass = append(pass, jobs[i])
+		keys = append(keys, key)
+		ents = append(ents, ent)
+	}
+	if len(pass) > 0 {
+		res, err := e.simulate(ctx, pass, keys, false)
+		for k, i := range members {
+			e.settle(keys[k], ents[k], res[k], err)
+			results[i], errs[i] = res[k], err
+		}
+	}
+	for k, i := range later {
+		results[i], errs[i] = e.run(ctx, jobs[i], laterKeys[k], true)
+	}
 }
 
 // joinJobErrors aggregates per-job failures, labeling each with its

@@ -199,7 +199,7 @@ func (e *Engine) profileSource(ctx context.Context, pj ProfileJob, sc *profile.S
 	// specific, so an estimator sweep generates its workload once for
 	// its exact simulations and the profile that follows them.
 	alias := Job{Workload: pj.Workload, TraceOpts: pj.TraceOpts, Source: pj.Source, NoCache: pj.NoCache}
-	src, release, err := e.sharedSource(alias, src)
+	src, release, err := e.sharedSource(alias, src, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -147,7 +147,7 @@ func TestProfileTraceSharing(t *testing.T) {
 	}
 	opts := workload.Options{Accesses: 20000, Threads: 4, Seed: 3}
 	sim := StreamJob(p, opts, testJob(t, "ft", opts).Config)
-	pins := e.pinShares([]Job{sim})
+	pins := e.pinShares(shareKeys([]Job{sim}))
 	defer pins()
 	if _, err := e.RunProfile(ctx, StreamProfileJob(p, opts, profile.Config{SetCounts: []int{512}})); err != nil {
 		t.Fatal(err)

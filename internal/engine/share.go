@@ -176,18 +176,18 @@ func (e *Engine) reserveTrace(sh *shareEntry, n int64) []trace.Access {
 	return reuse
 }
 
-// pinShares holds a reference on every distinct share key in a job batch
-// for the batch's duration, so no trace the batch needs is evicted
-// before its last job, whatever the worker-pool shape.
-func (e *Engine) pinShares(jobs []Job) func() {
+// pinShares holds a reference on every distinct share key of a job
+// batch ("" marks an unshareable job) for the batch's duration, so no
+// trace the batch needs is evicted before its last job, whatever the
+// worker-pool shape.
+func (e *Engine) pinShares(keys []string) func() {
 	if e.shareOff {
 		return func() {}
 	}
 	var pins []*shareEntry
 	seen := make(map[string]bool)
-	for _, j := range jobs {
-		key, ok := shareKey(j)
-		if !ok || seen[key] {
+	for _, key := range keys {
+		if key == "" || seen[key] {
 			continue
 		}
 		seen[key] = true
@@ -244,19 +244,25 @@ func (e *Engine) materialize(sh *shareEntry, src trace.ChunkSource) bool {
 	return generated
 }
 
-// sharedSource returns the stream a job should consume: a cursor over
-// its shared trace, or src itself when the job does not take part in
-// sharing or its trace exceeds the budget. The returned release must be
-// called once the stream is no longer read.
-func (e *Engine) sharedSource(j Job, src trace.ChunkSource) (trace.ChunkSource, func(), error) {
+// sharedSource returns the stream a simulation pass over j's trace
+// should consume: a cursor over the shared trace, or src itself when the
+// job does not take part in sharing or its trace exceeds the budget.
+// jobs is the number of design points the pass answers; each counts as
+// shared, except the first when this call generated the trace. The
+// returned release must be called once the stream is no longer read.
+func (e *Engine) sharedSource(j Job, src trace.ChunkSource, jobs int) (trace.ChunkSource, func(), error) {
 	key, ok := shareKey(j)
 	if e.shareOff || !ok || (e.shareLimit > 0 && src.Meta().Accesses*shareBytesPerAccess > e.shareLimit) {
 		return src, func() {}, nil
 	}
 	sh := e.acquireShare(key)
-	if !e.materialize(sh, src) && sh.err == nil {
-		e.traceShared.Add(1)
-		e.reg.Counter("engine_traces_total", "outcome", "shared").Inc()
+	count := jobs
+	if e.materialize(sh, src) {
+		count--
+	}
+	if sh.err == nil && count > 0 {
+		e.traceShared.Add(uint64(count))
+		e.reg.Counter("engine_traces_total", "outcome", "shared").Add(uint64(count))
 	}
 	err := sh.err
 	var shared trace.ChunkSource

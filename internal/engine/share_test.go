@@ -270,7 +270,7 @@ func TestTraceRetentionEvictsLRU(t *testing.T) {
 	// Three referenced traces exceed the two-trace budget: none may be
 	// evicted while pinned, and the budget is restored on release.
 	pinned := []Job{retentionJob(t, 4, 0), retentionJob(t, 5, 0), retentionJob(t, 6, 0)}
-	unpin := e.pinShares(pinned)
+	unpin := e.pinShares(shareKeys(pinned))
 	for _, j := range pinned {
 		if _, err := e.Run(ctx, j); err != nil {
 			t.Fatal(err)
@@ -370,4 +370,13 @@ func TestTraceRetentionConcurrent(t *testing.T) {
 	if st := e.Stats(); st.TraceGens < seeds || st.TraceShared == 0 {
 		t.Errorf("TraceGens=%d TraceShared=%d: want every trace generated and some shared", st.TraceGens, st.TraceShared)
 	}
+}
+
+// shareKeys lists the jobs' share keys, as RunAll pins them.
+func shareKeys(jobs []Job) []string {
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i], _ = shareKey(j)
+	}
+	return keys
 }

@@ -38,6 +38,34 @@ func TestLifetimeGeneratesEachTraceOnce(t *testing.T) {
 	}
 }
 
+// TestSingleThreadedFiguresSharePasses: Figure 1a puts eleven LLCs on one
+// geometry, so each of its eleven single-threaded workloads walks its
+// trace once for all eleven design points. Figure 2a's fixed-area LLCs
+// come in six capacities, so each workload takes six walks. Every design
+// point still counts as simulated, and every trace is generated once.
+func TestSingleThreadedFiguresSharePasses(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		run    func(context.Context, Config) (*FigureResult, error)
+		passes uint64
+	}{
+		{"Figure1a", Figure1a, 11},
+		{"Figure2a", Figure2a, 66},
+	} {
+		eng := engine.New()
+		if _, err := tc.run(context.Background(), Config{Opts: batchOpts, Engine: eng}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := eng.Stats()
+		if st.Simulated != 121 || st.Passes != tc.passes {
+			t.Errorf("%s: %d simulated in %d passes, want 121 in %d", tc.name, st.Simulated, st.Passes, tc.passes)
+		}
+		if st.TraceGens != 11 || st.TraceShared != 110 {
+			t.Errorf("%s: TraceGens/TraceShared = %d/%d, want 11/110", tc.name, st.TraceGens, st.TraceShared)
+		}
+	}
+}
+
 // TestWarmRegistryGeneratesNothing: regenerating every registry artifact
 // on a warm engine answers each design point and profile from the cache,
 // so it neither simulates nor generates a trace.

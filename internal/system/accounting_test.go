@@ -54,7 +54,7 @@ func TestHybridInterventionChargesLatency(t *testing.T) {
 			{Addr: 0x10040, Kind: trace.Read, Tid: 1},
 		},
 	}
-	sim, err := newSimulator(cfg, tr.Threads, new(Scratch))
+	sim, err := newSimulator([]Config{cfg}, trace.Meta{Threads: tr.Threads, Accesses: int64(len(tr.Accesses))}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,8 @@ func TestHybridInterventionChargesLatency(t *testing.T) {
 
 	reader := sim.cores[1]
 	before := reader.core.TimeNS()
-	after := sim.downgradeOthers(reader, line, before)
+	sim.tims[0].at = before
+	sim.downgradeOthers(reader, line)
 	if sim.dir.stats.InterventionStalls != 1 {
 		t.Fatalf("InterventionStalls = %d, want 1", sim.dir.stats.InterventionStalls)
 	}
@@ -73,8 +74,8 @@ func TestHybridInterventionChargesLatency(t *testing.T) {
 	if stall <= 0 {
 		t.Fatal("hybrid intervention charged no latency (free cache-to-cache transfer)")
 	}
-	if after != reader.core.TimeNS() {
-		t.Errorf("downgradeOthers returned stale clock %g, core is at %g", after, reader.core.TimeNS())
+	if at := sim.tims[0].at; at != reader.core.TimeNS() {
+		t.Errorf("downgradeOthers left the access at stale time %g, core is at %g", at, reader.core.TimeNS())
 	}
 	// The flushed line lands in the SRAM partition, so the transfer must
 	// cost the SRAM tag+read latency through the MLP overlap factor.

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,15 +27,8 @@ func randomTrace(seed int64, n int, threads int, footprintLines int) *trace.Trac
 	return tr
 }
 
-// TestHierarchyConservationProperty checks the cross-level flow
-// invariants of the simulated hierarchy on random traces:
-//
-//   - L2 demand accesses = L1I misses + L1D misses (every L1 miss goes to
-//     the L2 exactly once);
-//   - LLC demand accesses + bypassed fills = L2 misses;
-//   - every LLC demand miss fetches exactly one line from DRAM
-//     (dram reads ≥ LLC misses; coherence and L2 writeback evictions add
-//     DRAM writes, never reads).
+// TestHierarchyConservationProperty holds the simulated hierarchy to the
+// cross-level flow laws (checkConservation) on random traces.
 func TestHierarchyConservationProperty(t *testing.T) {
 	f := func(seed int64, nRaw, tRaw, fRaw uint16) bool {
 		n := int(nRaw%20000) + 1000
@@ -45,23 +39,56 @@ func TestHierarchyConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if r.L2.Accesses() != r.L1I.Misses+r.L1D.Misses {
-			t.Logf("L2 accesses %d != L1 misses %d+%d", r.L2.Accesses(), r.L1I.Misses, r.L1D.Misses)
-			return false
+		broken := checkConservation(r, true)
+		for _, msg := range broken {
+			t.Log(msg)
 		}
-		if r.LLC.Accesses()+r.LLC.BypassedFills != r.L2.Misses {
-			t.Logf("LLC accesses %d + bypassed %d != L2 misses %d",
-				r.LLC.Accesses(), r.LLC.BypassedFills, r.L2.Misses)
-			return false
-		}
-		if r.DRAM.Reads != r.LLC.Misses {
-			t.Logf("DRAM reads %d != LLC misses %d", r.DRAM.Reads, r.LLC.Misses)
-			return false
-		}
-		return true
+		return len(broken) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkConservation reports every cross-level flow law r breaks:
+//
+//   - L2 demand accesses = L1I misses + L1D misses (every L1 miss goes to
+//     the L2 exactly once);
+//   - LLC demand accesses = L2 misses, with bypassed fills among the LLC
+//     misses (a bypassed fill still probes the tags and counts as a
+//     miss, so adding BypassedFills to the accesses would count it
+//     twice);
+//   - with the default DRAM model, every LLC demand miss reads DRAM
+//     exactly once (coherence and writeback evictions add DRAM writes,
+//     never reads).
+func checkConservation(r *Result, defaultDRAM bool) []string {
+	var broken []string
+	if r.L2.Accesses() != r.L1I.Misses+r.L1D.Misses {
+		broken = append(broken, fmt.Sprintf("L2 accesses %d != L1 misses %d+%d", r.L2.Accesses(), r.L1I.Misses, r.L1D.Misses))
+	}
+	if r.LLC.Accesses() != r.L2.Misses || r.LLC.BypassedFills > r.LLC.Misses {
+		broken = append(broken, fmt.Sprintf("LLC accesses %d (bypassed fills %d of %d misses) != L2 misses %d",
+			r.LLC.Accesses(), r.LLC.BypassedFills, r.LLC.Misses, r.L2.Misses))
+	}
+	if defaultDRAM && r.DRAM.Reads != r.LLC.Misses {
+		broken = append(broken, fmt.Sprintf("DRAM reads %d != LLC misses %d", r.DRAM.Reads, r.LLC.Misses))
+	}
+	return broken
+}
+
+// TestGoldenMatrixConservation holds every case of the golden Result
+// matrix — each machine variant at 1–16 threads, faults, pre-wear,
+// timelines and the NVM main memory — to the conservation laws.
+func TestGoldenMatrixConservation(t *testing.T) {
+	for _, gc := range goldenCases(t) {
+		cfg := gc.cfg()
+		r, err := Run(context.Background(), cfg, gc.generate(t))
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		for _, msg := range checkConservation(r, cfg.Memory == nil) {
+			t.Errorf("%s: %s", gc.name, msg)
+		}
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
 	"nvmllc/internal/cache"
 	"nvmllc/internal/reference"
+	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -45,7 +47,7 @@ func TestNewSimulatorAllocatesExactNeed(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	sim, err := newSimulator(cfg, threads, new(Scratch))
+	sim, err := newSimulator([]Config{cfg}, trace.Meta{Threads: threads, Accesses: math.MaxInt64}, new(Scratch))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +57,34 @@ func TestNewSimulatorAllocatesExactNeed(t *testing.T) {
 	if got > exact+slack {
 		t.Errorf("building Zhang_R allocated %.1f MB, want at most its exact need %.1f MB + %d KiB",
 			float64(got)/1e6, float64(exact)/1e6, slack>>10)
+	}
+}
+
+// TestDirectoryBoundedByAccesses: a short 32-thread run sizes its
+// directory for the lines its trace can touch — at most one per access —
+// rather than for 32 full L2s, and never needs to grow past that view.
+func TestDirectoryBoundedByAccesses(t *testing.T) {
+	const threads, accesses = 32, 48000
+	p, err := workload.ByName("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.NewGenerator(p, workload.Options{Accesses: accesses, Threads: threads, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(src.Meta().Accesses)
+	sc := new(Scratch)
+	if _, err := RunStreamWith(context.Background(), sramConfig().WithCores(threads), src, sc); err != nil {
+		t.Fatal(err)
+	}
+	l2Lines := int(sramConfig().L2Bytes) / sramConfig().BlockBytes
+	got, want, full := len(sc.sharers.entries), dirSlots(n), dirSlots(threads*l2Lines)
+	if got != want {
+		t.Errorf("32-thread directory view = %d slots after a %d-access run, want %d", got, n, want)
+	}
+	if want >= full {
+		t.Fatalf("access bound %d slots does not undercut the L2 bound %d slots", want, full)
 	}
 }
 
@@ -88,11 +118,15 @@ func TestScratchSmallRunAfterLarge(t *testing.T) {
 	run(sc, 16)
 	large := sc.sharers.entries
 	l2Lines := int(sramConfig().L2Bytes) / sramConfig().BlockBytes
-	if len(large) != dirSlots(16*l2Lines) {
-		t.Fatalf("16-core directory view = %d slots, want %d", len(large), dirSlots(16*l2Lines))
+	meta16, err := workload.NewGenerator(p, workload.Options{Accesses: 40000, Threads: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := dirSlots(min(16*l2Lines, int(meta16.Meta().Accesses))); len(large) != want {
+		t.Fatalf("16-core directory view = %d slots, want %d", len(large), want)
 	}
 
-	sim, err := newSimulator(sramConfig().WithCores(2), 2, sc)
+	sim, err := newSimulator([]Config{sramConfig().WithCores(2)}, trace.Meta{Threads: 2, Accesses: 40000}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,25 @@ func RunStream(ctx context.Context, cfg Config, src trace.ChunkSource) (*Result,
 
 // RunStreamWith is RunStream reusing the caller's Scratch buffers (ring
 // slots, segment queues, cache arena, directory tables), making repeated
-// streaming simulations allocation-free on those paths.
+// streaming simulations allocation-free on those paths. It is
+// RunStreamGroup with a group of one.
 func RunStreamWith(ctx context.Context, cfg Config, src trace.ChunkSource, scratch *Scratch) (*Result, error) {
-	res, _, err := runStreamChunked(ctx, cfg, src, scratch, DefaultChunkAccesses, DefaultRingSlots)
+	res, err := RunStreamGroup(ctx, []Config{cfg}, src, scratch)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// RunStreamGroup simulates one trace on every config of cfgs from a
+// single functional pass: the walk through the tag stores runs once and
+// drives one timing backend per config, and results[i] is byte-identical
+// to what RunStreamWith would return for cfgs[i] alone. A group of more
+// than one needs a single-threaded trace (a multi-threaded walk's core
+// order follows the clocks, which differ per config) and configs that
+// are all Groupable and share cfgs[0]'s machine (Config.SameMachine).
+func RunStreamGroup(ctx context.Context, cfgs []Config, src trace.ChunkSource, scratch *Scratch) ([]*Result, error) {
+	res, _, err := runStreamChunked(ctx, cfgs, src, scratch, DefaultChunkAccesses, DefaultRingSlots)
 	return res, err
 }
 
@@ -91,22 +107,51 @@ type streamStats struct {
 	evacuations uint64
 }
 
-func runStreamChunked(ctx context.Context, cfg Config, src trace.ChunkSource, scratch *Scratch, chunkAccesses, ringSlots int) (*Result, streamStats, error) {
+// checkGroup validates a run's configs against its trace.
+func checkGroup(cfgs []Config, meta trace.Meta) error {
+	for _, cfg := range cfgs {
+		if meta.Threads > cfg.Cores {
+			return fmt.Errorf("system: trace %s has %d threads but only %d cores", meta.Name, meta.Threads, cfg.Cores)
+		}
+	}
+	if len(cfgs) == 1 {
+		return nil
+	}
+	if meta.Threads != 1 {
+		return fmt.Errorf("system: trace %s has %d threads; a group of %d configs needs a single-threaded trace", meta.Name, meta.Threads, len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		if !cfg.Groupable() {
+			return fmt.Errorf("system: config %d of a group of %d uses a timeline, faults, bypass, a hybrid LLC or a custom main memory", i, len(cfgs))
+		}
+		if !cfgs[0].SameMachine(cfg) {
+			return fmt.Errorf("system: config %d of a group differs from config 0 in a functional field", i)
+		}
+	}
+	return nil
+}
+
+func runStreamChunked(ctx context.Context, cfgs []Config, src trace.ChunkSource, scratch *Scratch, chunkAccesses, ringSlots int) ([]*Result, streamStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, streamStats{}, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, streamStats{}, err
+	if len(cfgs) == 0 {
+		return nil, streamStats{}, fmt.Errorf("system: empty config group")
+	}
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, streamStats{}, err
+		}
 	}
 	meta := src.Meta()
 	if err := meta.Validate(); err != nil {
 		return nil, streamStats{}, err
 	}
-	if meta.Threads > cfg.Cores {
-		return nil, streamStats{}, fmt.Errorf("system: trace %s has %d threads but only %d cores", meta.Name, meta.Threads, cfg.Cores)
+	if err := checkGroup(cfgs, meta); err != nil {
+		return nil, streamStats{}, err
 	}
 	if chunkAccesses <= 0 {
 		return nil, streamStats{}, fmt.Errorf("system: chunk size %d, want positive", chunkAccesses)
@@ -117,7 +162,7 @@ func runStreamChunked(ctx context.Context, cfg Config, src trace.ChunkSource, sc
 	if scratch == nil {
 		scratch = new(Scratch)
 	}
-	sim, err := newSimulator(cfg, meta.Threads, scratch)
+	sim, err := newSimulator(cfgs, meta, scratch)
 	if err != nil {
 		return nil, streamStats{}, err
 	}
@@ -150,7 +195,7 @@ func runStreamChunked(ctx context.Context, cfg Config, src trace.ChunkSource, sc
 	if err := sim.runStream(ctx, st); err != nil {
 		return nil, st.stats, err
 	}
-	return sim.result(meta.Name), st.stats, nil
+	return sim.results(meta.Name), st.stats, nil
 }
 
 // ringSlot is one streaming buffer: the producer's raw chunk, the

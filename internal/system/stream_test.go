@@ -60,6 +60,15 @@ func machineVariants(t *testing.T) map[string]func(cores int) Config {
 	}
 }
 
+// runChunked is runStreamChunked for a single config.
+func runChunked(ctx context.Context, cfg Config, src trace.ChunkSource, scratch *Scratch, chunkAccesses, ringSlots int) (*Result, streamStats, error) {
+	res, stats, err := runStreamChunked(ctx, []Config{cfg}, src, scratch, chunkAccesses, ringSlots)
+	if err != nil {
+		return nil, stats, err
+	}
+	return res[0], stats, nil
+}
+
 func marshalResult(t *testing.T, r *Result) []byte {
 	t.Helper()
 	b, err := json.Marshal(r)
@@ -89,7 +98,7 @@ func TestStreamMatchesWholeTrace(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := runStreamChunked(context.Background(), cfg, gen, nil, chunk, slots)
+					got, _, err := runChunked(context.Background(), cfg, gen, nil, chunk, slots)
 					if err != nil {
 						t.Fatalf("%s/%dt/chunk=%d/slots=%d: %v", name, threads, chunk, slots, err)
 					}
@@ -325,7 +334,7 @@ func TestStreamSkewEvacuation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := runStreamChunked(context.Background(), cfg, src, scratch, 64, slots)
+			got, stats, err := runChunked(context.Background(), cfg, src, scratch, 64, slots)
 			if err != nil {
 				t.Fatalf("slots=%d round=%d: %v", slots, round, err)
 			}

@@ -15,7 +15,6 @@ package system
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"nvmllc/internal/cache"
@@ -292,10 +291,13 @@ func (r *Result) IPC() float64 {
 	return float64(r.Instructions) / (r.TimeNS * ghz)
 }
 
-// coreState bundles one core's pipeline and private caches with its share
-// of the trace.
+// coreState bundles one core's private caches with its share of the
+// trace.
 type coreState struct {
-	idx      int
+	idx int
+	// core is this core's clock in the first timing backend, which orders
+	// the scheduler. Only a multi-threaded run's order depends on it, and
+	// such a run has one backend.
 	core     *cpu.Core
 	l1i, l1d *cache.Cache
 	l2       *cache.Cache
@@ -323,24 +325,21 @@ type coreState struct {
 	instrRetired   uint64
 }
 
+// simulator is one functional walk and the timing backends it drives.
+// cfg is the first backend's config; the walk reads only its functional
+// fields, which every backend's config shares (Config.SameMachine).
 type simulator struct {
 	cfg       Config
 	blockBits uint
 	cores     []*coreState
 	llc       *cache.Cache
-	mem       MainMemory
-	dramMem   *dram.Memory // non-nil when the default model is in use
-	bankBusy  []float64
+	tims      []timing
 	stats     LLCStats
 	wear      *WearTracker
 	faults    *fault.Injector
 	bypass    *deadBlockPredictor
 	dir       *directory
 	hybrid    *hybridLLC
-	// dramWait collects per-request DRAM queueing delay (always on with
-	// the default memory model; its snapshot lands in Result.DRAMWait).
-	// Only the simulating goroutine touches it, so it needs no atomics.
-	dramWait *telemetry.LocalHistogram
 	// sampler drives epoch-boundary timeline sampling (nil unless
 	// Config.Timeline is set: one nil check per access when disabled).
 	sampler *epochSampler
@@ -357,10 +356,6 @@ type simulator struct {
 	liveDeadSets    *telemetry.Counter
 	liveDeadTraffic *telemetry.Counter
 	liveCapacity    *telemetry.Gauge
-	// bankStallNS/bankStallEvents account per-bank time reads and writes
-	// spent queued behind busy LLC banks (write-contention mode only).
-	bankStallNS     []float64
-	bankStallEvents []uint64
 }
 
 // Scratch holds reusable per-run buffers for the trace pipeline and the
@@ -423,12 +418,15 @@ func Run(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
 	return RunStream(ctx, cfg, src)
 }
 
-// newSimulator builds the machine — LLC or hybrid, main memory, banks,
-// wear/bypass/coherence structures and `threads` cores with private
-// caches — without wiring any access stream: runStreamChunked supplies
-// that. Cache tag stores are carved from
-// the scratch's arena, so repeated runs recycle their storage.
-func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error) {
+// newSimulator builds the functional machine — LLC or hybrid, wear,
+// bypass and coherence structures, meta.Threads cores with private caches
+// — and one timing backend per config, without wiring any access stream:
+// runStreamChunked supplies that. Every config must share cfgs[0]'s
+// functional fields (RunStreamGroup checks). Cache tag stores are carved
+// from the scratch's arena, so repeated runs recycle their storage.
+func newSimulator(cfgs []Config, meta trace.Meta, scratch *Scratch) (*simulator, error) {
+	cfg := cfgs[0]
+	threads := meta.Threads
 	blockBits := uint(0)
 	if cfg.BlockBytes > 0 {
 		blockBits = uint(bits.TrailingZeros64(uint64(cfg.BlockBytes)))
@@ -468,32 +466,18 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 			return nil, err
 		}
 	}
-	var mem MainMemory
-	var dramMem *dram.Memory
-	if cfg.Memory != nil {
-		mem = cfg.Memory
-	} else {
+	sim := &simulator{
+		cfg:       cfg,
+		blockBits: blockBits,
+		llc:       llc,
+		hybrid:    hybrid,
+		tims:      make([]timing, len(cfgs)),
+	}
+	for i, c := range cfgs {
 		var err error
-		dramMem, err = dram.New(cfg.DRAM)
-		if err != nil {
+		if sim.tims[i], err = newTiming(c, threads); err != nil {
 			return nil, err
 		}
-		mem = dramMem
-	}
-	sim := &simulator{
-		cfg:             cfg,
-		blockBits:       blockBits,
-		llc:             llc,
-		mem:             mem,
-		dramMem:         dramMem,
-		bankBusy:        make([]float64, cfg.LLCBanks),
-		bankStallNS:     make([]float64, cfg.LLCBanks),
-		bankStallEvents: make([]uint64, cfg.LLCBanks),
-		hybrid:          hybrid,
-	}
-	if dramMem != nil {
-		sim.dramWait = telemetry.NewLocalHistogram(telemetry.DefaultScale())
-		dramMem.SetWaitHook(sim.dramWait.Observe)
 	}
 	if cfg.TrackWear {
 		sim.wear = newWearTracker(llc.Sets(), cfg.LLCWays, scratch)
@@ -556,15 +540,13 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 		// Take over the scratch's recycled table storage (returned by
 		// releaseScratch once the run completes), viewed at this
 		// machine's size: at most every core's L2 full of distinct lines
-		// (L2 is inclusive of L1).
-		sim.dir = newDirectoryWith(scratch.sharers, threads*int(cfg.L2Bytes/int64(max(cfg.BlockBytes, 1))))
+		// (L2 is inclusive of L1), and never more lines than the trace
+		// has accesses.
+		lines := min(int64(threads)*(cfg.L2Bytes/int64(max(cfg.BlockBytes, 1))), meta.Accesses)
+		sim.dir = newDirectoryWith(scratch.sharers, int(lines))
 		scratch.sharers = sharerTable{}
 	}
 	for t := 0; t < threads; t++ {
-		core, err := cpu.NewCore(cfg.Core)
-		if err != nil {
-			return nil, err
-		}
 		l1i, err := cache.NewIn(arena, l1iCfg)
 		if err != nil {
 			return nil, err
@@ -579,7 +561,8 @@ func newSimulator(cfg Config, threads int, scratch *Scratch) (*simulator, error)
 		}
 		sim.cores = append(sim.cores, &coreState{
 			idx:  t,
-			core: core, l1i: l1i, l1d: l1d, l2: l2,
+			core: &sim.tims[0].cores[t],
+			l1i:  l1i, l1d: l1d, l2: l2,
 		})
 	}
 	return sim, nil
@@ -640,7 +623,9 @@ func (s *simulator) retireRemainder() {
 	for _, cs := range s.cores {
 		if cs.instrRetired < cs.instrBudget {
 			rem := cs.instrBudget - cs.instrRetired
-			cs.core.Retire(rem)
+			for i := range s.tims {
+				s.tims[i].cores[cs.idx].Retire(rem)
+			}
 			cs.instrRetired += rem
 			if s.sampler != nil {
 				// Credit the catch-up so the final flush ends at the
@@ -651,11 +636,11 @@ func (s *simulator) retireRemainder() {
 	}
 }
 
-// step executes one access on the given core. The core-local clock is
-// read once after retirement and threaded through the hierarchy walk
-// (it only changes when a StallLoad lands, and those sites re-read it).
-// The access's line address and per-level set bases come pre-decoded
-// from the SoA lanes (predecode.go) instead of being recomputed here.
+// step executes one access on the given core. Every backend retires the
+// access's instructions on its own clock, which sets the time the
+// access's memory events start at (timing.at). The access's line address
+// and per-level set bases come pre-decoded from the SoA lanes
+// (predecode.go) instead of being recomputed here.
 func (s *simulator) step(cs *coreState) {
 	i := cs.pos
 	cs.pos++
@@ -667,18 +652,22 @@ func (s *simulator) step(cs *coreState) {
 		n = max
 	}
 	cs.instrCarry -= float64(n)
-	cs.core.Retire(n)
 	cs.instrRetired += n
+	for j := range s.tims {
+		t := &s.tims[j]
+		c := &t.cores[cs.idx]
+		c.Retire(n)
+		t.at = c.TimeNS()
+	}
 
-	now := cs.core.TimeNS()
 	line := cs.line[i]
 	switch cs.kind[i] {
 	case trace.Read:
-		s.load(cs, line, now, cs.l1b[i], cs.l2b[i], cs.llcb[i])
+		s.load(cs, line, cs.l1b[i], cs.l2b[i], cs.llcb[i])
 	case trace.Ifetch:
-		s.ifetch(cs, line, now, cs.l1b[i], cs.l2b[i], cs.llcb[i])
+		s.ifetch(cs, line, cs.l1b[i], cs.l2b[i], cs.llcb[i])
 	case trace.Write:
-		s.store(cs, line, now, cs.l1b[i], cs.l2b[i], cs.llcb[i])
+		s.store(cs, line, cs.l1b[i], cs.l2b[i], cs.llcb[i])
 	}
 	if es := s.sampler; es != nil {
 		// After the access's events so an epoch boundary includes them.
@@ -696,61 +685,61 @@ func (s *simulator) step(cs *coreState) {
 // completion time of wherever it hits. l1b/l2b/llcb are the access's
 // pre-decoded set bases for the demand line (eviction-path lookups for
 // other lines recompute their own).
-func (s *simulator) load(cs *coreState, line uint64, now float64, l1b, l2b, llcb int32) {
+func (s *simulator) load(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 	if hit, ev := cs.l1d.AccessAt(l1b, line, false); hit {
 		return // L1 hit time is covered by base CPI
 	} else if ev.Valid && ev.Dirty {
-		s.l2Writeback(cs, ev.LineAddr, now)
+		s.l2Writeback(cs, ev.LineAddr)
 	}
 	if s.dir != nil {
-		now = s.downgradeOthers(cs, line, now)
+		s.downgradeOthers(cs, line)
 		s.dir.noteFill(line, cs.idx)
 	}
-	s.fromL2(cs, line, true, now, l2b, llcb)
+	s.fromL2(cs, line, true, l2b, llcb)
 }
 
 // ifetch is a load through the L1I.
-func (s *simulator) ifetch(cs *coreState, line uint64, now float64, l1b, l2b, llcb int32) {
+func (s *simulator) ifetch(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 	if hit, ev := cs.l1i.AccessAt(l1b, line, false); hit {
 		return
 	} else if ev.Valid && ev.Dirty {
-		s.l2Writeback(cs, ev.LineAddr, now)
+		s.l2Writeback(cs, ev.LineAddr)
 	}
-	s.fromL2(cs, line, true, now, l2b, llcb)
+	s.fromL2(cs, line, true, l2b, llcb)
 }
 
 // store performs a write-back write-allocate store. Stores retire through
 // the store queue and never stall the core, but their allocations and
 // writebacks consume LLC energy and DRAM bandwidth.
-func (s *simulator) store(cs *coreState, line uint64, now float64, l1b, l2b, llcb int32) {
+func (s *simulator) store(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 	if s.dir != nil {
 		// A store needs exclusive ownership: invalidate remote copies,
 		// flushing any dirty one through the LLC first.
 		if _, dirtyWb := s.invalidateOthers(line, cs.idx); dirtyWb > 0 {
 			for i := 0; i < dirtyWb; i++ {
-				s.llcWrite(line, now)
+				s.llcWrite(line)
 			}
 		}
 	}
 	if hit, ev := cs.l1d.AccessAt(l1b, line, true); hit {
 		return
 	} else if ev.Valid && ev.Dirty {
-		s.l2Writeback(cs, ev.LineAddr, now)
+		s.l2Writeback(cs, ev.LineAddr)
 	}
 	if s.dir != nil {
 		s.dir.noteFill(line, cs.idx)
 	}
-	s.fromL2(cs, line, false, now, l2b, llcb)
+	s.fromL2(cs, line, false, l2b, llcb)
 }
 
 // downgradeOthers handles a read to a line another core may hold dirty:
 // remote copies are cleaned (Modified -> Shared) and a dirty copy is
 // flushed through the LLC, with the reader paying an intervention
-// latency. It returns the core's (possibly advanced) local clock.
-func (s *simulator) downgradeOthers(cs *coreState, line uint64, now float64) float64 {
+// latency that advances its clock.
+func (s *simulator) downgradeOthers(cs *coreState, line uint64) {
 	mask := s.dir.othersHolding(line, cs.idx)
 	if mask == 0 {
-		return now
+		return
 	}
 	flushed := false
 	for c := 0; mask != 0; c++ {
@@ -767,32 +756,35 @@ func (s *simulator) downgradeOthers(cs *coreState, line uint64, now float64) flo
 			flushed = true
 		}
 	}
-	if flushed {
-		s.llcWrite(line, now)
-		s.dir.stats.RemoteWritebacks++
-		s.dir.stats.InterventionStalls++
-		// Cache-to-cache transfer via the LLC: the reader pays the LLC
-		// read that picks the flushed line back up. Config.LLC is
-		// zero-valued in hybrid mode, so route the latency through the
-		// hybrid partition actually holding the line.
-		var lat float64
+	if !flushed {
+		return
+	}
+	s.llcWrite(line)
+	s.dir.stats.RemoteWritebacks++
+	s.dir.stats.InterventionStalls++
+	// Cache-to-cache transfer via the LLC: the reader pays the LLC read
+	// that picks the flushed line back up. Config.LLC is zero-valued in
+	// hybrid mode, so route the latency through the hybrid partition
+	// actually holding the line.
+	for i := range s.tims {
+		t := &s.tims[i]
+		lat := t.tagNS + t.readNS
 		if s.hybrid != nil {
 			lat = s.hybrid.readLatencyNS(line)
-		} else {
-			lat = s.cfg.LLC.TagLatencyNS + s.cfg.LLC.ReadLatencyNS
 		}
-		cs.core.StallLoad(now + lat)
-		now = cs.core.TimeNS()
+		t.intervene(cs.idx, lat)
 	}
-	return now
 }
 
 // fromL2 services an L1 miss from the L2 and below. stalls controls
 // whether the core waits for the data (loads) or not (stores).
-func (s *simulator) fromL2(cs *coreState, line uint64, stalls bool, now float64, l2b, llcb int32) {
+func (s *simulator) fromL2(cs *coreState, line uint64, stalls bool, l2b, llcb int32) {
 	if hit, ev := cs.l2.AccessAt(l2b, line, false); hit {
 		if stalls {
-			cs.core.StallLoad(now + s.cfg.L2LatencyNS)
+			for i := range s.tims {
+				t := &s.tims[i]
+				t.stall(cs.idx, t.l2NS)
+			}
 		}
 		return
 	} else if ev.Valid {
@@ -806,19 +798,18 @@ func (s *simulator) fromL2(cs *coreState, line uint64, stalls bool, now float64,
 			s.dir.noteEvict(ev.LineAddr, cs.idx)
 		}
 		if ev.Dirty {
-			s.llcWrite(ev.LineAddr, now)
+			s.llcWrite(ev.LineAddr)
 		}
 	}
-	s.fromLLC(cs, line, stalls, now, llcb)
+	s.fromLLC(cs, line, stalls, llcb)
 }
 
 // fromLLC services an L2 miss at the shared LLC and, on miss, DRAM.
-func (s *simulator) fromLLC(cs *coreState, line uint64, stalls bool, now float64, llcb int32) {
+func (s *simulator) fromLLC(cs *coreState, line uint64, stalls bool, llcb int32) {
 	if s.hybrid != nil {
-		s.fromHybridLLC(cs, line, stalls, now)
+		s.fromHybridLLC(cs, line, stalls)
 		return
 	}
-	llcModel := &s.cfg.LLC
 	if s.setAccs != nil {
 		s.setAccs[s.llc.SetOf(line)]++
 	}
@@ -829,10 +820,7 @@ func (s *simulator) fromLLC(cs *coreState, line uint64, stalls bool, now float64
 		s.faults.NoteDeadAccess()
 		s.liveDeadTraffic.Inc()
 		s.stats.Misses++
-		dramComplete := s.mem.Read(now+llcModel.TagLatencyNS, line)
-		if stalls {
-			cs.core.StallLoad(dramComplete)
-		}
+		s.readAroundLLC(cs, line, stalls)
 		return
 	}
 	// Dead-block bypass: a line predicted dead skips the NVM fill and is
@@ -840,10 +828,7 @@ func (s *simulator) fromLLC(cs *coreState, line uint64, stalls bool, now float64
 	if s.bypass != nil && s.bypass.predictDead(line) && !s.llc.Probe(line) {
 		s.stats.Misses++
 		s.stats.BypassedFills++
-		dramComplete := s.mem.Read(now+llcModel.TagLatencyNS, line)
-		if stalls {
-			cs.core.StallLoad(dramComplete)
-		}
+		s.readAroundLLC(cs, line, stalls)
 		return
 	}
 	hit, ev := s.llc.AccessAt(llcb, line, false)
@@ -852,14 +837,8 @@ func (s *simulator) fromLLC(cs *coreState, line uint64, stalls bool, now float64
 		if s.bypass != nil {
 			s.bypass.onHit(line)
 		}
-		complete := now + llcModel.TagLatencyNS + llcModel.ReadLatencyNS
-		if s.cfg.ModelWriteContention {
-			start := s.bankStart(line, now)
-			s.setBankBusy(line, start+llcModel.ReadLatencyNS)
-			complete = start + llcModel.TagLatencyNS + llcModel.ReadLatencyNS
-		}
-		if stalls {
-			cs.core.StallLoad(complete)
+		for i := range s.tims {
+			s.tims[i].llcHit(cs.idx, line, stalls)
 		}
 		return
 	}
@@ -873,56 +852,73 @@ func (s *simulator) fromLLC(cs *coreState, line uint64, stalls bool, now float64
 			s.bypass.onEvict(ev.LineAddr)
 		}
 	}
-	if ev.Valid && ev.Dirty {
-		s.mem.Write(now, ev.LineAddr)
+	for i := range s.tims {
+		s.tims[i].llcMiss(cs.idx, line, stalls, ev)
 	}
-	lookupStart := now
-	if s.cfg.ModelWriteContention {
-		lookupStart = s.bankStart(line, now)
+	s.llcFillWrite(line)
+}
+
+// readAroundLLC serves a demand miss straight from main memory after the
+// LLC tag probe, without filling the array.
+func (s *simulator) readAroundLLC(cs *coreState, line uint64, stalls bool) {
+	for i := range s.tims {
+		t := &s.tims[i]
+		t.memRead(cs.idx, line, t.tagNS, stalls)
 	}
-	dramComplete := s.mem.Read(lookupStart+llcModel.TagLatencyNS, line)
-	if stalls {
-		cs.core.StallLoad(dramComplete)
-	}
-	s.llcFillWrite(line, dramComplete)
 }
 
 // fromHybridLLC services an L2 miss at the hybrid SRAM/NVM LLC.
-func (s *simulator) fromHybridLLC(cs *coreState, line uint64, stalls bool, now float64) {
+func (s *simulator) fromHybridLLC(cs *coreState, line uint64, stalls bool) {
 	hit, lat := s.hybrid.lookup(line)
 	if hit {
 		s.stats.Hits++
 		if stalls {
-			cs.core.StallLoad(now + lat)
+			for i := range s.tims {
+				s.tims[i].stall(cs.idx, lat)
+			}
 		}
 		return
 	}
 	s.stats.Misses++
-	dramComplete := s.mem.Read(now+lat, line)
-	if stalls {
-		cs.core.StallLoad(dramComplete)
+	for i := range s.tims {
+		s.tims[i].memRead(cs.idx, line, lat, stalls)
 	}
 	s.stats.Writes++
 	for _, wb := range s.hybrid.fill(line, !stalls) {
-		s.mem.Write(dramComplete, wb)
+		s.memWrite(wb)
 	}
 }
 
 // l2Writeback propagates an L1 dirty eviction into the L2; a dirty L2
 // victim continues to the LLC as a write.
-func (s *simulator) l2Writeback(cs *coreState, line uint64, now float64) {
+func (s *simulator) l2Writeback(cs *coreState, line uint64) {
 	if present, ev := cs.l2.WritebackTo(line); !present && ev.Valid && ev.Dirty {
-		s.llcWrite(ev.LineAddr, now)
+		s.llcWrite(ev.LineAddr)
+	}
+}
+
+// memWrite posts a write of line to every backend's main memory.
+func (s *simulator) memWrite(line uint64) {
+	for i := range s.tims {
+		t := &s.tims[i]
+		t.mem.Write(t.at, line)
+	}
+}
+
+// occupyBank holds line's LLC bank for one array write in every backend.
+func (s *simulator) occupyBank(line uint64) {
+	for i := range s.tims {
+		s.tims[i].occupyBank(line)
 	}
 }
 
 // llcWrite is a writeback arriving at the LLC from an L2 (equation (8)
 // energy; off the critical path).
-func (s *simulator) llcWrite(line uint64, now float64) {
+func (s *simulator) llcWrite(line uint64) {
 	if s.hybrid != nil {
 		s.stats.Writes++
 		for _, wb := range s.hybrid.writeback(line) {
-			s.mem.Write(now, wb)
+			s.memWrite(wb)
 		}
 		return
 	}
@@ -931,14 +927,14 @@ func (s *simulator) llcWrite(line uint64, now float64) {
 	if s.faults != nil && s.faults.IsDead(line) {
 		s.faults.NoteDeadWrite()
 		s.liveDeadTraffic.Inc()
-		s.mem.Write(now, line)
+		s.memWrite(line)
 		return
 	}
 	// Dead-block bypass: writebacks of dead lines go straight to DRAM,
 	// avoiding the expensive NVM data-array write.
 	if s.bypass != nil && s.bypass.predictDead(line) && !s.llc.Probe(line) {
 		s.stats.BypassedWritebacks++
-		s.mem.Write(now, line)
+		s.memWrite(line)
 		return
 	}
 	s.stats.Writes++
@@ -956,11 +952,11 @@ func (s *simulator) llcWrite(line uint64, now float64) {
 		}
 	}
 	if ev.Valid && ev.Dirty {
-		s.mem.Write(now, ev.LineAddr)
+		s.memWrite(ev.LineAddr)
 	}
-	s.occupyBankForWrite(line, now)
+	s.occupyBank(line)
 	if s.faults != nil {
-		s.applyFault(line, now)
+		s.applyFault(line)
 	}
 }
 
@@ -970,10 +966,10 @@ func (s *simulator) llcWrite(line uint64, now float64) {
 // path. A condemned write loses the line just written: it is invalidated
 // (dirty data routes to DRAM so correctness is preserved) and its way is
 // disabled, shrinking the set's associativity.
-func (s *simulator) applyFault(line uint64, now float64) {
+func (s *simulator) applyFault(line uint64) {
 	out := s.faults.OnWrite(line)
 	for i := 0; i < out.Retries; i++ {
-		s.occupyBankForWrite(line, now)
+		s.occupyBank(line)
 	}
 	if out.Retries > 0 {
 		s.liveRetries.Add(uint64(out.Retries))
@@ -994,7 +990,7 @@ func (s *simulator) applyFault(line uint64, now float64) {
 	}
 	if present, dirty := s.llc.Invalidate(line); present {
 		if dirty {
-			s.mem.Write(now, line)
+			s.memWrite(line)
 		}
 		if s.bypass != nil {
 			s.bypass.onEvict(line)
@@ -1003,114 +999,66 @@ func (s *simulator) applyFault(line uint64, now float64) {
 	s.llc.DisableWay(s.llc.SetOf(line))
 }
 
-// llcFillWrite is the data-array write of a fill after a DRAM fetch. The
-// line was already allocated by the demand Access; only energy and bank
-// occupancy are modeled here.
-func (s *simulator) llcFillWrite(line uint64, now float64) {
+// llcFillWrite is the data-array write of a fill after a DRAM fetch, at
+// the fetch's completion. The line was already allocated by the demand
+// Access; only energy and bank occupancy are modeled here.
+func (s *simulator) llcFillWrite(line uint64) {
 	s.stats.Writes++
 	if s.wear != nil {
 		s.wear.Record(line)
 	}
-	s.occupyBankForWrite(line, now)
+	s.occupyBank(line)
 	if s.faults != nil {
-		s.applyFault(line, now)
+		s.applyFault(line)
 	}
 }
 
-func (s *simulator) occupyBankForWrite(line uint64, now float64) {
-	if !s.cfg.ModelWriteContention {
-		return
-	}
-	start := s.bankStart(line, now)
-	s.setBankBusy(line, start+s.cfg.LLC.WriteLatencyNS())
-}
-
-func (s *simulator) bankStart(line uint64, now float64) float64 {
-	b := line % uint64(len(s.bankBusy))
-	start := math.Max(now, s.bankBusy[b])
-	if start > now {
-		s.bankStallNS[b] += start - now
-		s.bankStallEvents[b]++
-	}
-	return start
-}
-
-func (s *simulator) setBankBusy(line uint64, until float64) {
-	b := line % uint64(len(s.bankBusy))
-	s.bankBusy[b] = until
-}
-
-// result assembles the Result, integrating LLC energy over the run.
-func (s *simulator) result(name string) *Result {
-	llcName := s.cfg.LLC.Name
-	if s.hybrid != nil {
-		llcName = fmt.Sprintf("hybrid(%s+%s)", s.cfg.Hybrid.SRAM.Name, s.cfg.Hybrid.NVM.Name)
-	}
-	r := &Result{
+// results assembles one Result per backend: the functional fields once,
+// then each backend's clocks, traffic and energy.
+func (s *simulator) results(name string) []*Result {
+	base := Result{
 		Workload: name,
-		LLCName:  llcName,
-		Cores:    s.cfg.Cores,
 		LLC:      s.stats,
-		ClockGHz: s.cfg.Core.ClockGHz,
 	}
 	if s.dir != nil {
-		r.Directory = s.dir.stats
+		base.Directory = s.dir.stats
 	}
 	for _, cs := range s.cores {
-		if t := cs.core.TimeNS(); t > r.TimeNS {
-			r.TimeNS = t
-		}
-		r.Instructions += cs.core.Instructions()
-		r.MemStallNS += cs.core.MemStallNS()
-		r.L1I.Add(cs.l1i.Stats())
-		r.L1D.Add(cs.l1d.Stats())
-		r.L2.Add(cs.l2.Stats())
+		base.L1I.Add(cs.l1i.Stats())
+		base.L1D.Add(cs.l1d.Stats())
+		base.L2.Add(cs.l2.Stats())
 	}
-	if s.dramMem != nil {
-		r.DRAM = s.dramMem.Stats()
-	}
-	if s.hybrid != nil {
-		hs := s.hybrid.stats
-		r.Hybrid = &hs
-		r.LLCDynamicJ = s.hybrid.dynamicNJ * 1e-9
-		r.LLCLeakageJ = s.hybrid.leakageW() * r.TimeNS * 1e-9
-	} else {
-		m := &s.cfg.LLC
-		// Equations (6)-(8): nJ per event, summed, converted to joules.
-		dynNJ := float64(s.stats.Hits)*m.HitEnergyNJ +
-			float64(s.stats.Misses)*m.MissEnergyNJ +
-			float64(s.stats.Writes)*m.WriteEnergyNJ +
-			// Bypassed writebacks still probe the tags.
-			float64(s.stats.BypassedWritebacks)*m.MissEnergyNJ
-		if s.faults != nil {
-			// Write-verify retries re-drive the array: one write's worth
-			// of energy per extra attempt, off the critical path like
-			// every other LLC write.
-			dynNJ += float64(s.faults.Stats().WriteRetries) * m.WriteEnergyNJ
-		}
-		r.LLCDynamicJ = dynNJ * 1e-9
-		r.LLCLeakageJ = m.LeakageW * r.TimeNS * 1e-9
-	}
+	var wear *WearStats
 	if s.wear != nil {
 		ws := s.wear.Stats()
-		r.Wear = &ws
+		wear = &ws
 	}
 	if s.faults != nil {
 		fs := s.faults.Stats()
-		r.Degradation = &fs
+		base.Degradation = &fs
 	}
-	if s.dramWait != nil {
-		snap := s.dramWait.Snapshot()
-		r.DRAMWait = &snap
+	if s.hybrid != nil {
+		hs := s.hybrid.stats
+		base.Hybrid = &hs
 	}
 	if s.sampler != nil {
 		s.sampler.flush(s)
 		snap := s.sampler.tl.Snapshot()
-		r.Timeline = &snap
+		base.Timeline = &snap
 		if s.wear != nil {
-			r.WearHeatmap = buildWearHeatmap(s.wear, s.setAccs)
+			base.WearHeatmap = buildWearHeatmap(s.wear, s.setAccs)
 		}
 	}
-	s.publishTelemetry(r)
-	return r
+	out := make([]*Result, len(s.tims))
+	for i := range s.tims {
+		r := base
+		if wear != nil {
+			// Each Result owns its wear record, so callers may annotate
+			// one member of a group without touching the others.
+			ws := *wear
+			r.Wear = &ws
+		}
+		out[i] = s.tims[i].result(s, &r)
+	}
+	return out
 }

@@ -168,9 +168,9 @@ func (es *epochSampler) sample(s *simulator) {
 
 	var dramReqs uint64
 	var dramWait float64
-	if s.dramWait != nil {
-		dramReqs = s.dramWait.Count()
-		dramWait = s.dramWait.Sum()
+	if w := s.tims[0].dramWait; w != nil {
+		dramReqs = w.Count()
+		dramWait = w.Sum()
 	}
 	es.vals[3] = float64(dramReqs - es.prevDRAMReqs)
 	es.vals[4] = dramWait - es.prevDRAMWaitNS

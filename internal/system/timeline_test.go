@@ -261,7 +261,7 @@ func TestTimelineDeterministicAcrossPaths(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, _, err := runStreamChunked(ctx, cfg, gen, nil, 256, 2)
+			res, _, err := runChunked(ctx, cfg, gen, nil, 256, 2)
 			return res, err
 		},
 		"scratch-reuse": func() (*Result, error) {
@@ -357,7 +357,7 @@ func TestTimelineConfigValidate(t *testing.T) {
 // advance past multi-epoch retirements and the flush captures the tail.
 func TestEpochSamplerBoundary(t *testing.T) {
 	es := newEpochSampler(&TimelineConfig{EpochInstructions: 100, Points: 8}, 1000)
-	s := &simulator{}
+	s := &simulator{tims: make([]timing, 1)}
 	es.note(s, 50)
 	if got := es.tl.Snapshot().Len(); got != 0 {
 		t.Errorf("sampled %d epochs before a boundary", got)
