@@ -197,16 +197,6 @@ func (l *ArtifactList) Set(v string) error {
 // Names returns the selected artifact names in the order given.
 func (l *ArtifactList) Names() []string { return l.names }
 
-// Selected reports whether name was selected.
-func (l *ArtifactList) Selected(name string) bool {
-	for _, have := range l.names {
-		if have == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ArtifactFlag registers -artifact on fs (flag.CommandLine when nil).
 // known is the registry's name list (e.g. sweep.ArtifactNames()); it is
 // baked into the help text so -help documents every runnable artifact,

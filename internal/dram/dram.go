@@ -43,19 +43,28 @@ type Memory struct {
 	onWait      func(waitNS float64)
 }
 
-// New builds a memory model.
-func New(cfg Config) (*Memory, error) {
+// Validate checks the configuration; New runs it, and so does
+// system.Config.Validate for the default main memory.
+func (cfg Config) Validate() error {
 	if cfg.Controllers <= 0 {
-		return nil, fmt.Errorf("dram: controllers = %d, want positive", cfg.Controllers)
+		return fmt.Errorf("dram: controllers = %d, want positive", cfg.Controllers)
 	}
 	if cfg.BandwidthGBps <= 0 {
-		return nil, fmt.Errorf("dram: bandwidth = %g, want positive", cfg.BandwidthGBps)
+		return fmt.Errorf("dram: bandwidth = %g, want positive", cfg.BandwidthGBps)
 	}
 	if cfg.LatencyNS <= 0 {
-		return nil, fmt.Errorf("dram: latency = %g, want positive", cfg.LatencyNS)
+		return fmt.Errorf("dram: latency = %g, want positive", cfg.LatencyNS)
 	}
 	if cfg.BlockBytes <= 0 {
-		return nil, fmt.Errorf("dram: block bytes = %d, want positive", cfg.BlockBytes)
+		return fmt.Errorf("dram: block bytes = %d, want positive", cfg.BlockBytes)
+	}
+	return nil
+}
+
+// New builds a memory model.
+func New(cfg Config) (*Memory, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Memory{
 		cfg:         cfg,

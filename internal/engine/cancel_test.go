@@ -12,16 +12,16 @@ import (
 )
 
 // TestRunAllCancellationMidSubmission pins RunAll's abort contract:
-// cancelling while the submission loop is still feeding jobs preserves
-// the results already computed, collapses the flood of per-job context
-// errors into a single joined entry, and leaks neither goroutines nor
-// pool slots — the engine keeps working afterwards.
+// cancelling while units are still unstarted preserves the results
+// already computed, fails every unstarted unit with the context error,
+// collapses the flood of per-job context errors into a single joined
+// entry, and leaks no goroutines — the engine keeps working afterwards.
 func TestRunAllCancellationMidSubmission(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	// Parallelism 1 serializes the submission loop on the pool slot, so
+	// Parallelism 1 runs the units one after another on one worker, so
 	// cancelling from the first job's completion event is guaranteed to
-	// land while later jobs are still waiting to be submitted.
+	// land while later units are still unstarted.
 	e := New(WithParallelism(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -54,8 +54,8 @@ func TestRunAllCancellationMidSubmission(t *testing.T) {
 			kept++
 		}
 	}
-	if kept == len(jobs) {
-		t.Fatal("every job completed; cancellation never interrupted the batch")
+	if kept != 1 {
+		t.Fatalf("%d of %d jobs completed, want only the first: no unit may start after the cancellation", kept, len(jobs))
 	}
 
 	// One joined context entry, not one per refused job.
@@ -69,8 +69,8 @@ func TestRunAllCancellationMidSubmission(t *testing.T) {
 		t.Errorf("error mentions the cancellation %d times, want it collapsed to 1:\n%v", got, err)
 	}
 
-	// No slot leak: the same engine, under a fresh context, still runs a
-	// full batch at its bounded parallelism.
+	// The same engine, under a fresh context, still runs a full batch at
+	// its bounded parallelism.
 	fresh, err := e.RunAll(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("engine broken after a cancelled batch: %v", err)

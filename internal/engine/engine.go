@@ -266,7 +266,7 @@ type Engine struct {
 	// first. retainedBytes is the budget all of them hold: written under
 	// shareMu, atomic so Stats reads it without the lock.
 	shareMu       sync.Mutex
-	shares        map[string]*shareEntry
+	shares        map[traceID]*shareEntry
 	idle          list.List
 	retainedBytes atomic.Int64
 
@@ -294,7 +294,7 @@ type Engine struct {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		results:    make(map[string]*entry),
-		shares:     make(map[string]*shareEntry),
+		shares:     make(map[traceID]*shareEntry),
 		shareLimit: defaultTraceShareLimit,
 	}
 	for _, o := range opts {
@@ -608,7 +608,7 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*system.Result, erro
 	}
 	// Pin every distinct shareable trace for the batch, so none is
 	// evicted before the batch's last job needs it (share.go).
-	traces := make([]string, len(jobs))
+	traces := make([]traceID, len(jobs))
 	for i, j := range jobs {
 		traces[i], _ = shareKey(j)
 	}
@@ -616,49 +616,55 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*system.Result, erro
 	defer unpin()
 	results := make([]*system.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, e.Workers())
+	units := e.batchPasses(jobs, traces)
+	// A fixed pool pulls units off a shared counter, so each worker's
+	// stack grows once for the whole batch rather than once per unit.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, unit := range e.batchPasses(jobs, traces) {
-		// Acquiring the slot here (not in the goroutine) bounds the pool
-		// and lets cancellation stop submission immediately.
-		select {
-		case <-ctx.Done():
-			for _, i := range unit {
-				errs[i] = ctx.Err()
-			}
-			continue
-		case sem <- struct{}{}:
-		}
+	for w := min(e.Workers(), len(units)); w > 0; w-- {
 		wg.Add(1)
-		go func(unit []int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			if len(unit) == 1 {
-				i := unit[0]
-				results[i], errs[i] = e.Run(ctx, jobs[i])
-				return
+			for {
+				n := next.Add(1) - 1
+				if n >= int64(len(units)) {
+					return
+				}
+				unit := units[n]
+				if err := ctx.Err(); err != nil {
+					// Cancellation stops the batch: no unit starts after it.
+					for _, i := range unit {
+						errs[i] = err
+					}
+					continue
+				}
+				if len(unit) == 1 {
+					i := unit[0]
+					results[i], errs[i] = e.Run(ctx, jobs[i])
+					continue
+				}
+				e.runPass(ctx, jobs, unit, results, errs)
 			}
-			e.runPass(ctx, jobs, unit, results, errs)
-		}(unit)
+		}()
 	}
 	wg.Wait()
 	return results, joinJobErrors(jobs, errs)
 }
 
 // batchPasses partitions a batch into the units its workers run, in
-// order of each unit's first job; traces are the jobs' share keys (""
+// order of each unit's first job; traces are the jobs' share keys (zero
 // for unshareable jobs). Groupable jobs over the same trace and machine
 // (system.Config.SameMachine) form one unit; every other job is a unit
 // of its own. A job is groupable when it is cacheable (so its key vouches
 // for its trace), its resolved trace is single-threaded, and neither it
 // nor the engine asks for a timeline or any other system.Config.Groupable
 // exclusion.
-func (e *Engine) batchPasses(jobs []Job, traces []string) [][]int {
+func (e *Engine) batchPasses(jobs []Job, traces []traceID) [][]int {
 	var units [][]int
-	byTrace := make(map[string][]int) // share key → its group units
+	byTrace := make(map[traceID][]int) // share key → its group units
 	for i, j := range jobs {
 		sk := traces[i]
-		if sk == "" || e.cacheOff || e.timeline != nil ||
+		if sk == (traceID{}) || e.cacheOff || e.timeline != nil ||
 			j.TraceOpts.Threads != 1 || !j.Config.Groupable() {
 			units = append(units, []int{i})
 			continue

@@ -30,10 +30,12 @@ package engine
 
 import (
 	"container/list"
-	"fmt"
+	"errors"
+	"strconv"
 	"sync"
 
 	"nvmllc/internal/trace"
+	"nvmllc/internal/workload"
 )
 
 // shareBytesPerAccess sizes a share against the limit (one trace.Access).
@@ -65,7 +67,7 @@ func WithTraceShareLimit(bytes int64) Option {
 // materialized, an unreferenced entry sits on the engine's idle list
 // (elem) until it is revived or evicted.
 type shareEntry struct {
-	key  string
+	key  traceID
 	once sync.Once
 	meta trace.Meta
 	accs []trace.Access
@@ -76,19 +78,27 @@ type shareEntry struct {
 	elem  *list.Element
 }
 
-// shareKey identifies the trace a job will stream, independent of the
-// machine config. A NoCache job is not shareable: its provenance is by
-// definition not captured by (Workload, TraceOpts).
-func shareKey(j Job) (string, bool) {
+// traceID identifies the trace a job will stream, independent of the
+// machine config: the workload and its resolved generation options. The
+// zero value marks a job that takes no part in sharing.
+type traceID struct {
+	workload string
+	opts     workload.Options
+}
+
+// shareKey returns the trace a job will stream. A NoCache job is not
+// shareable: its provenance is by definition not captured by (Workload,
+// TraceOpts).
+func shareKey(j Job) (traceID, bool) {
 	if j.NoCache || j.Source == nil {
-		return "", false
+		return traceID{}, false
 	}
-	return fmt.Sprintf("%s|%+v", j.Workload, j.TraceOpts), true
+	return traceID{j.Workload, j.TraceOpts}, true
 }
 
 // acquireShare takes a reference on key's entry, creating it on first
 // use and reviving it from the idle list when it was retained.
-func (e *Engine) acquireShare(key string) *shareEntry {
+func (e *Engine) acquireShare(key traceID) *shareEntry {
 	e.shareMu.Lock()
 	defer e.shareMu.Unlock()
 	sh := e.shares[key]
@@ -177,17 +187,17 @@ func (e *Engine) reserveTrace(sh *shareEntry, n int64) []trace.Access {
 }
 
 // pinShares holds a reference on every distinct share key of a job
-// batch ("" marks an unshareable job) for the batch's duration, so no
-// trace the batch needs is evicted before its last job, whatever the
-// worker-pool shape.
-func (e *Engine) pinShares(keys []string) func() {
+// batch (the zero traceID marks an unshareable job) for the batch's
+// duration, so no trace the batch needs is evicted before its last job,
+// whatever the worker-pool shape.
+func (e *Engine) pinShares(keys []traceID) func() {
 	if e.shareOff {
 		return func() {}
 	}
 	var pins []*shareEntry
-	seen := make(map[string]bool)
+	seen := make(map[traceID]bool)
 	for _, key := range keys {
-		if key == "" || seen[key] {
+		if key == (traceID{}) || seen[key] {
 			continue
 		}
 		seen[key] = true
@@ -224,7 +234,8 @@ func (e *Engine) materialize(sh *shareEntry, src trace.ChunkSource) bool {
 				break
 			}
 			if c == 0 {
-				sh.err = fmt.Errorf("engine: trace %s ended after %d of %d declared accesses", meta.Name, pos, n)
+				sh.err = errors.New("engine: trace " + meta.Name + " ended after " +
+					strconv.FormatInt(pos, 10) + " of " + strconv.FormatInt(n, 10) + " declared accesses")
 				break
 			}
 			pos += int64(c)

@@ -210,15 +210,15 @@ func TestTraceRetainedAcrossRuns(t *testing.T) {
 // heldKeys lists the share keys the engine holds, checking the
 // bookkeeping on the way: every held entry is unreferenced and on the
 // idle list, and the byte total is the sum of their buffers.
-func heldKeys(t *testing.T, e *Engine) map[string]bool {
+func heldKeys(t *testing.T, e *Engine) map[traceID]bool {
 	t.Helper()
 	e.shareMu.Lock()
 	defer e.shareMu.Unlock()
-	keys := make(map[string]bool)
+	keys := make(map[traceID]bool)
 	var bytes int64
 	for k, sh := range e.shares {
 		if sh.refs != 0 || sh.elem == nil || sh.accs == nil {
-			t.Errorf("entry %s: refs=%d, idle=%v, materialized=%v after every job returned", k, sh.refs, sh.elem != nil, sh.accs != nil)
+			t.Errorf("entry %v: refs=%d, idle=%v, materialized=%v after every job returned", k, sh.refs, sh.elem != nil, sh.accs != nil)
 		}
 		keys[k] = true
 		bytes += sh.bytes
@@ -237,7 +237,7 @@ func TestTraceRetentionEvictsLRU(t *testing.T) {
 	ctx := context.Background()
 	traceBytes := int64(jobAccesses(t, retentionJob(t, 1, 0))) * shareBytesPerAccess
 	e := New(WithTraceShareLimit(2 * traceBytes))
-	key := func(seed int64) string {
+	key := func(seed int64) traceID {
 		k, _ := shareKey(retentionJob(t, seed, 0))
 		return k
 	}
@@ -373,8 +373,8 @@ func TestTraceRetentionConcurrent(t *testing.T) {
 }
 
 // shareKeys lists the jobs' share keys, as RunAll pins them.
-func shareKeys(jobs []Job) []string {
-	keys := make([]string, len(jobs))
+func shareKeys(jobs []Job) []traceID {
+	keys := make([]traceID, len(jobs))
 	for i, j := range jobs {
 		keys[i], _ = shareKey(j)
 	}

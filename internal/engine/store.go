@@ -62,7 +62,7 @@ type ProfileStore interface {
 // to re-simulation instead of decoding garbage. Bump whenever the
 // serialized form of system.Result changes incompatibly or the cache
 // key function changes what it hashes.
-const StoreFormatVersion = 1
+const StoreFormatVersion = 2
 
 // storeFormatName guards against feeding some other tool's files to the
 // decoder.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,45 +105,49 @@ func TestDiskCacheCorruptionIsAMiss(t *testing.T) {
 }
 
 // TestDiskCacheVersionSkew: entries of another format version are
-// invisible — skipped by the boot sweep and missed by Load.
+// invisible — skipped (and counted corrupt) by the boot sweep and missed
+// by Load. Version 1 is the format whose keys were hashed from fmt
+// renderings of the job; a directory written by it must read as empty.
 func TestDiskCacheVersionSkew(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := testJob(t, "bzip2", smallOpts())
-	key, _ := Key(j)
-	res, err := New().Run(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store(key, res); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the header with a bumped version.
-	p := filepath.Join(dir, key+storeExt)
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(raw)
-	s = strings.Replace(s, `"version":1`, `"version":999`, 1)
-	if s == string(raw) {
-		t.Fatal("test fixture: version field not found in header")
-	}
-	if err := os.WriteFile(p, []byte(s), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 0 {
-		t.Errorf("boot sweep indexed %d stale-version entries, want 0", c2.Len())
-	}
-	if _, ok := c2.Load(key); ok {
-		t.Error("stale-version entry loaded as a hit")
+	for _, version := range []int{1, StoreFormatVersion + 1} {
+		dir := t.TempDir()
+		c, err := OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := testJob(t, "bzip2", smallOpts())
+		key, _ := Key(j)
+		res, err := New().Run(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Store(key, res); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite the header with the other version.
+		p := filepath.Join(dir, key+storeExt)
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := string(raw)
+		s = strings.Replace(s, fmt.Sprintf(`"version":%d`, StoreFormatVersion), fmt.Sprintf(`"version":%d`, version), 1)
+		if s == string(raw) {
+			t.Fatal("test fixture: version field not found in header")
+		}
+		if err := os.WriteFile(p, []byte(s), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c2.Len() != 0 || c2.Stats().Corrupt != 1 {
+			t.Errorf("version %d: boot sweep indexed %d entries and counted %d corrupt, want 0 and 1", version, c2.Len(), c2.Stats().Corrupt)
+		}
+		if _, ok := c2.Load(key); ok {
+			t.Errorf("version %d: stale-version entry loaded as a hit", version)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nvmllc/internal/system"
+	"nvmllc/internal/telemetry"
 	"nvmllc/internal/workload"
 )
 
@@ -20,19 +21,26 @@ func timelineJob(t *testing.T, name string, opts workload.Options) Job {
 	return j
 }
 
-// TestKeyExcludesTimeline pins the cache-identity rule: sampling is
-// observation-only, so a sampled and an unsampled job share one key.
+// TestKeyExcludesTimeline pins the cache-identity rule: sampling and
+// telemetry are observation-only, so the same job keys alike with and
+// without a Timeline or a Telemetry registry.
 func TestKeyExcludesTimeline(t *testing.T) {
 	plain := testJob(t, "bzip2", smallOpts())
 	sampled := plain
 	sampled.Config.Timeline = &system.TimelineConfig{Points: 64}
+	observed := plain
+	observed.Config.Telemetry = telemetry.New()
 	kp, ok1 := Key(plain)
 	ks, ok2 := Key(sampled)
-	if !ok1 || !ok2 {
+	ko, ok3 := Key(observed)
+	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("jobs unexpectedly uncacheable")
 	}
 	if kp != ks {
 		t.Errorf("timeline config changed the cache key:\nplain:   %s\nsampled: %s", kp, ks)
+	}
+	if kp != ko {
+		t.Errorf("telemetry registry changed the cache key:\nplain:    %s\nobserved: %s", kp, ko)
 	}
 }
 

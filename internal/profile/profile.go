@@ -237,30 +237,6 @@ func (p *Profile) MissesFor(sets, ways int) (misses uint64, ok bool) {
 	return p.Demand - hits, true
 }
 
-// HitRateFor returns hits/demand for a geometry (0 for an empty stream).
-func (p *Profile) HitRateFor(sets, ways int) (rate float64, ok bool) {
-	hits, ok := p.HitsFor(sets, ways)
-	if !ok {
-		return 0, false
-	}
-	if p.Demand == 0 {
-		return 0, true
-	}
-	return float64(hits) / float64(p.Demand), true
-}
-
-// MPKIFor returns demand misses per kilo-instruction for a geometry.
-func (p *Profile) MPKIFor(sets, ways int) (mpki float64, ok bool) {
-	misses, ok := p.MissesFor(sets, ways)
-	if !ok {
-		return 0, false
-	}
-	if p.InstrCount == 0 {
-		return 0, true
-	}
-	return float64(misses) / float64(p.InstrCount) * 1000, true
-}
-
 // Curve returns the hit-rate-vs-associativity curve for a set count
 // (index a-1 holds associativity a), or nil if the set count was not
 // profiled.

@@ -160,6 +160,23 @@ func (c Config) Validate() error {
 	} else if err := c.LLC.Validate(); err != nil {
 		return err
 	}
+	// Check every level's geometry here, not first inside a simulation:
+	// the hybrid LLC sizes its own partitions (newHybridLLC).
+	llc, l1i, l1d, l2 := c.levels()
+	levels := []cache.Config{l1i, l1d, l2}
+	if c.Hybrid == nil {
+		levels = append(levels, llc)
+	}
+	for _, level := range levels {
+		if err := level.Validate(); err != nil {
+			return err
+		}
+	}
+	if c.Memory == nil {
+		if err := c.DRAM.Validate(); err != nil {
+			return err
+		}
+	}
 	if c.LLCBanks <= 0 {
 		return fmt.Errorf("system: LLC banks = %d, want positive", c.LLCBanks)
 	}
@@ -167,6 +184,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: negative L2 latency")
 	}
 	return nil
+}
+
+// levels returns the cache configuration of the LLC and of each
+// private level, as the simulator builds them.
+func (c Config) levels() (llc, l1i, l1d, l2 cache.Config) {
+	llc = cache.Config{Name: "LLC", CapacityBytes: c.LLC.CapacityBytes, BlockBytes: c.BlockBytes, Ways: c.LLCWays, Policy: c.LLCPolicy}
+	l1i = cache.Config{Name: "L1I", CapacityBytes: c.L1IBytes, BlockBytes: c.BlockBytes, Ways: c.L1IWays}
+	l1d = cache.Config{Name: "L1D", CapacityBytes: c.L1DBytes, BlockBytes: c.BlockBytes, Ways: c.L1DWays}
+	l2 = cache.Config{Name: "L2", CapacityBytes: c.L2Bytes, BlockBytes: c.BlockBytes, Ways: c.L2Ways}
+	return llc, l1i, l1d, l2
 }
 
 // MainMemory abstracts the memory below the LLC: both internal/dram (the
@@ -431,16 +458,7 @@ func newSimulator(cfgs []Config, meta trace.Meta, scratch *Scratch) (*simulator,
 	if cfg.BlockBytes > 0 {
 		blockBits = uint(bits.TrailingZeros64(uint64(cfg.BlockBytes)))
 	}
-	llcCfg := cache.Config{
-		Name:          "LLC",
-		CapacityBytes: cfg.LLC.CapacityBytes,
-		BlockBytes:    cfg.BlockBytes,
-		Ways:          cfg.LLCWays,
-		Policy:        cfg.LLCPolicy,
-	}
-	l1iCfg := cache.Config{Name: "L1I", CapacityBytes: cfg.L1IBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L1IWays}
-	l1dCfg := cache.Config{Name: "L1D", CapacityBytes: cfg.L1DBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L1DWays}
-	l2Cfg := cache.Config{Name: "L2", CapacityBytes: cfg.L2Bytes, BlockBytes: cfg.BlockBytes, Ways: cfg.L2Ways}
+	llcCfg, l1iCfg, l1dCfg, l2Cfg := cfg.levels()
 	// Size the arena to exactly this machine's tag stores.
 	var need cache.Need
 	if cfg.Hybrid == nil {

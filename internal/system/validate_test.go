@@ -10,6 +10,7 @@ import (
 
 // TestConfigValidateRejects pins Config.Validate's rejections: the core
 // range, the bank count, a negative L2 latency, an invalid LLC model,
+// a cache geometry the tag store cannot build, an invalid DRAM model,
 // and a hybrid LLC combined with wear tracking, bypass or faults.
 func TestConfigValidateRejects(t *testing.T) {
 	kang, err := reference.ModelByName(reference.FixedCapacityModels(), "Kang_P")
@@ -34,6 +35,11 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"unnamed LLC", func(c *Config) { c.LLC.Name = "" }, "no name"},
 		{"empty LLC", func(c *Config) { c.LLC.CapacityBytes = 0 }, "capacity 0"},
 		{"free LLC reads", func(c *Config) { c.LLC.ReadLatencyNS = 0 }, "read latency"},
+		{"3-way 32 KiB L1D", func(c *Config) { c.L1DWays = 3 }, "cache L1D: capacity 32768 not a positive multiple"},
+		{"3 MiB 16-way LLC", func(c *Config) { c.LLC.CapacityBytes = 3 << 20 }, "cache LLC: set count 3072"},
+		{"3 MiB LLC under a hybrid", func(c *Config) { hybrid(c); c.LLC.CapacityBytes = 3 << 20 }, ""},
+		{"no DRAM controllers", func(c *Config) { c.DRAM.Controllers = 0 }, "dram: controllers = 0"},
+		{"no DRAM controllers, external memory", func(c *Config) { c.DRAM.Controllers = 0; c.Memory = nopMemory{} }, ""},
 		{"hybrid with wear", func(c *Config) { hybrid(c); c.TrackWear = true }, "wear tracking or bypass"},
 		{"hybrid with bypass", func(c *Config) { hybrid(c); c.LLCBypass = BypassDeadBlock }, "wear tracking or bypass"},
 		{"hybrid with faults", func(c *Config) {
@@ -53,3 +59,10 @@ func TestConfigValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// nopMemory stands in for an external main memory, which replaces the
+// DRAM model and so exempts Config.DRAM from validation.
+type nopMemory struct{}
+
+func (nopMemory) Read(nowNS float64, lineAddr uint64) float64  { return nowNS }
+func (nopMemory) Write(nowNS float64, lineAddr uint64) float64 { return nowNS }
