@@ -313,6 +313,8 @@ func (o *Observability) Close(runErr error) error {
 				TraceShared: s.TraceShared,
 				Profiles:    s.Profiles,
 				ProfileHits: s.ProfileHits,
+				Features:    s.Features,
+				FeatureHits: s.FeatureHits,
 			}
 		}
 		errs = append(errs, o.Manifest.Write(end), o.Manifest.Close())

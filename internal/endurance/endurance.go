@@ -92,14 +92,6 @@ func Estimate(r *system.Result, opts Options) (Projection, error) {
 	return e, nil
 }
 
-// FromResult is Estimate with only a class.
-//
-// Deprecated: use Estimate with an Options struct; FromResult is kept
-// for callers of the positional-parameter API.
-func FromResult(r *system.Result, class nvm.Class) (Projection, error) {
-	return Estimate(r, Options{Class: class})
-}
-
 // years converts an endurance budget and a wear rate to calendar years.
 func years(enduranceWrites, writesPerSec float64) float64 {
 	if writesPerSec <= 0 || math.IsInf(enduranceWrites, 1) {

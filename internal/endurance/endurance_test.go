@@ -40,11 +40,11 @@ func wearResult(maxLine, maxSet uint64, secs float64) *system.Result {
 	}
 }
 
-func TestFromResult(t *testing.T) {
+func TestEstimate(t *testing.T) {
 	// 3000 writes to the hottest line in 1 ms = 3e6 writes/s.
 	// PCRAM endurance 3e7 → dies in 10 seconds raw.
 	r := wearResult(3000, 4800, 1e-3)
-	e, err := FromResult(r, nvm.PCRAM)
+	e, err := Estimate(r, Options{Class: nvm.PCRAM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +67,20 @@ func TestFromResult(t *testing.T) {
 	}
 }
 
-func TestFromResultSTTRAMOutlivesPCRAM(t *testing.T) {
+func TestEstimateSTTRAMOutlivesPCRAM(t *testing.T) {
 	r := wearResult(1000, 1600, 1e-3)
-	pc, err := FromResult(r, nvm.PCRAM)
+	pc, err := Estimate(r, Options{Class: nvm.PCRAM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stt, err := FromResult(r, nvm.STTRAM)
+	stt, err := Estimate(r, Options{Class: nvm.STTRAM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stt.RawYears <= pc.RawYears {
 		t.Errorf("STTRAM lifetime %g not above PCRAM %g", stt.RawYears, pc.RawYears)
 	}
-	sram, err := FromResult(r, nvm.SRAM)
+	sram, err := Estimate(r, Options{Class: nvm.SRAM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +92,19 @@ func TestFromResultSTTRAMOutlivesPCRAM(t *testing.T) {
 	}
 }
 
-func TestFromResultErrors(t *testing.T) {
-	if _, err := FromResult(&system.Result{TimeNS: 1}, nvm.PCRAM); err == nil {
+func TestEstimateErrors(t *testing.T) {
+	if _, err := Estimate(&system.Result{TimeNS: 1}, Options{Class: nvm.PCRAM}); err == nil {
 		t.Error("missing wear accepted")
 	}
 	r := wearResult(1, 1, 0)
-	if _, err := FromResult(r, nvm.PCRAM); err == nil {
+	if _, err := Estimate(r, Options{Class: nvm.PCRAM}); err == nil {
 		t.Error("zero-time result accepted")
 	}
 }
 
 func TestIdleCacheLivesForever(t *testing.T) {
 	r := wearResult(0, 0, 1e-3)
-	e, err := FromResult(r, nvm.RRAM)
+	e, err := Estimate(r, Options{Class: nvm.RRAM})
 	if err != nil {
 		t.Fatal(err)
 	}

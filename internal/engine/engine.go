@@ -30,6 +30,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nvmllc/internal/prism"
+	"nvmllc/internal/profile"
 	"nvmllc/internal/system"
 	"nvmllc/internal/telemetry"
 	"nvmllc/internal/trace"
@@ -131,6 +133,11 @@ type Stats struct {
 	// request stream from simulation jobs — neither counter participates
 	// in Jobs(), which stays equal to simulation submissions.
 	Profiles, ProfileHits uint64
+	// Features counts PRISM characterizations actually measured
+	// (featurejob.go); FeatureHits counts feature requests answered from
+	// the in-memory feature cache. Like profiles, feature jobs stay out
+	// of Jobs(), Accesses and SimWallNS.
+	Features, FeatureHits uint64
 }
 
 // Jobs is the total design points answered: simulated, upgraded, cached
@@ -156,6 +163,9 @@ func (s Stats) String() string {
 	}
 	if s.Profiles+s.ProfileHits > 0 {
 		out = fmt.Sprintf("%s, %d profiled / %d profile hits", out, s.Profiles, s.ProfileHits)
+	}
+	if s.Features+s.FeatureHits > 0 {
+		out = fmt.Sprintf("%s, %d characterized / %d feature hits", out, s.Features, s.FeatureHits)
 	}
 	return out
 }
@@ -256,10 +266,11 @@ type Engine struct {
 	mu      sync.Mutex
 	results map[string]*entry
 
-	// profMu/profiles memoize reuse-distance profiles (profilejob.go),
-	// a separate singleflight domain from simulation results.
-	profMu   sync.Mutex
-	profiles map[string]*profEntry
+	// profiles memoizes reuse-distance profiles (profilejob.go) and
+	// features memoizes PRISM features (featurejob.go): singleflight
+	// domains of their own, apart from simulation results.
+	profiles memo[string, *profile.Profile]
+	features memo[featureKey, prism.Features]
 
 	// shares memoizes generated traces across jobs (share.go), referenced
 	// or retained; idle lists the retained ones, most recently used
@@ -288,6 +299,8 @@ type Engine struct {
 	traceShared atomic.Uint64
 	profiled    atomic.Uint64
 	profileHits atomic.Uint64
+	featured    atomic.Uint64
+	featureHits atomic.Uint64
 }
 
 // New creates an engine.
@@ -326,6 +339,8 @@ func (e *Engine) Stats() Stats {
 		TraceShared: e.traceShared.Load(),
 		Profiles:    e.profiled.Load(),
 		ProfileHits: e.profileHits.Load(),
+		Features:    e.featured.Load(),
+		FeatureHits: e.featureHits.Load(),
 
 		TraceRetainedBytes: e.retainedBytes.Load(),
 	}
@@ -617,38 +632,50 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*system.Result, erro
 	results := make([]*system.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	units := e.batchPasses(jobs, traces)
-	// A fixed pool pulls units off a shared counter, so each worker's
-	// stack grows once for the whole batch rather than once per unit.
+	e.pool(ctx, len(units), func(n int) {
+		unit := units[n]
+		if len(unit) == 1 {
+			i := unit[0]
+			results[i], errs[i] = e.Run(ctx, jobs[i])
+			return
+		}
+		e.runPass(ctx, jobs, unit, results, errs)
+	}, func(n int, err error) {
+		for _, i := range units[n] {
+			errs[i] = err
+		}
+	})
+	return results, joinJobErrors(errs, func(i int) string {
+		return jobs[i].Workload + " on " + jobs[i].LLCName()
+	})
+}
+
+// pool calls run(n) for every n in [0, items) on a fixed pool of
+// min(Workers(), items) goroutines pulling indices off a shared counter,
+// so each worker's stack grows once for the whole batch rather than once
+// per item. A worker checks ctx before each item: after a cancellation
+// no item starts, and skip(n, ctx.Err()) reports each one left.
+func (e *Engine) pool(ctx context.Context, items int, run func(n int), skip func(n int, err error)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(e.Workers(), len(units)); w > 0; w-- {
+	for w := min(e.Workers(), items); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				n := next.Add(1) - 1
-				if n >= int64(len(units)) {
+				n := int(next.Add(1) - 1)
+				if n >= items {
 					return
 				}
-				unit := units[n]
 				if err := ctx.Err(); err != nil {
-					// Cancellation stops the batch: no unit starts after it.
-					for _, i := range unit {
-						errs[i] = err
-					}
+					skip(n, err)
 					continue
 				}
-				if len(unit) == 1 {
-					i := unit[0]
-					results[i], errs[i] = e.Run(ctx, jobs[i])
-					continue
-				}
-				e.runPass(ctx, jobs, unit, results, errs)
+				run(n)
 			}
 		}()
 	}
 	wg.Wait()
-	return results, joinJobErrors(jobs, errs)
 }
 
 // batchPasses partitions a batch into the units its workers run, in
@@ -724,9 +751,9 @@ func (e *Engine) runPass(ctx context.Context, jobs []Job, unit []int, results []
 }
 
 // joinJobErrors aggregates per-job failures, labeling each with its
-// design point and collapsing the flood of identical context errors a
+// job's identity and collapsing the flood of identical context errors a
 // cancellation produces into a single entry.
-func joinJobErrors(jobs []Job, errs []error) error {
+func joinJobErrors(errs []error, label func(i int) string) error {
 	var out []error
 	ctxSeen := false
 	for i, err := range errs {
@@ -738,7 +765,7 @@ func joinJobErrors(jobs []Job, errs []error) error {
 				ctxSeen = true
 			}
 		default:
-			out = append(out, fmt.Errorf("engine: %s on %s: %w", jobs[i].Workload, jobs[i].LLCName(), err))
+			out = append(out, fmt.Errorf("engine: %s: %w", label(i), err))
 		}
 	}
 	return errors.Join(out...)

@@ -77,14 +77,6 @@ func ProfileKey(pj ProfileJob) (string, bool) {
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
-// profEntry is one profile-cache slot (the singleflight discipline of
-// entry, for profiles).
-type profEntry struct {
-	done chan struct{}
-	prof *profile.Profile
-	err  error
-}
-
 // RunProfile answers one profiling request, from the profile cache when
 // possible. Identical concurrent requests share a single pass; a
 // cancelled context returns promptly with ctx.Err().
@@ -99,56 +91,35 @@ func (e *Engine) RunProfile(ctx context.Context, pj ProfileJob) (*profile.Profil
 	if e.cacheOff || !cacheable {
 		return e.computeProfile(ctx, pj)
 	}
-	e.profMu.Lock()
-	if e.profiles == nil {
-		e.profiles = make(map[string]*profEntry)
-	}
-	ent, ok := e.profiles[key]
-	if !ok {
-		ent = &profEntry{done: make(chan struct{})}
-		e.profiles[key] = ent
-		e.profMu.Unlock()
-
+	ps, _ := e.store.(ProfileStore)
+	stored := false
+	p, hit, err := e.profiles.do(ctx, key, func() (*profile.Profile, error) {
 		// Consult the persistent tier before profiling.
-		if ps, ok := e.store.(ProfileStore); ok && ps != nil {
-			if p, hit := ps.LoadProfile(key); hit {
-				ent.prof = p
-				close(ent.done)
-				e.profileHits.Add(1)
-				e.reg.Counter("engine_profiles_total", "outcome", "cached").Inc()
+		if ps != nil {
+			if p, ok := ps.LoadProfile(key); ok {
+				stored = true
 				return p, nil
 			}
 		}
-
-		ent.prof, ent.err = e.computeProfile(ctx, pj)
-		if ent.err != nil {
-			// Like simulation failures: never cache, so a later run retries.
-			e.profMu.Lock()
-			delete(e.profiles, key)
-			e.profMu.Unlock()
-		} else if ps, ok := e.store.(ProfileStore); ok && ps != nil {
+		p, err := e.computeProfile(ctx, pj)
+		if err == nil && ps != nil {
 			// Best-effort persistence, mirroring result stores.
-			if serr := ps.StoreProfile(key, ent.prof); serr != nil {
+			if serr := ps.StoreProfile(key, p); serr != nil {
 				e.reg.Counter("engine_profile_store_total", "outcome", "write_error").Inc()
 			} else {
 				e.reg.Counter("engine_profile_store_total", "outcome", "write").Inc()
 			}
 		}
-		close(ent.done)
-		return ent.prof, ent.err
+		return p, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	e.profMu.Unlock()
-	select {
-	case <-ent.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if hit || stored {
+		e.profileHits.Add(1)
+		e.reg.Counter("engine_profiles_total", "outcome", "cached").Inc()
 	}
-	if ent.err != nil {
-		return nil, ent.err
-	}
-	e.profileHits.Add(1)
-	e.reg.Counter("engine_profiles_total", "outcome", "cached").Inc()
-	return ent.prof, nil
+	return p, nil
 }
 
 // computeProfile executes the profiling pass, riding the trace-sharing

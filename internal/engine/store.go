@@ -119,7 +119,7 @@ type DiskCache struct {
 // and verified — format, version, key/filename agreement — and valid
 // entries are indexed, so a freshly booted process knows immediately
 // which design points it can serve without simulating. Invalid or
-// stale-version files are skipped (counted as corrupt), never fatal.
+// stale-version files are counted as corrupt and deleted, never fatal.
 func OpenDiskCache(dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: open disk cache: %w", err)
@@ -138,6 +138,10 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 		if c.verifyHeader(key) {
 			c.index[key] = true
 		} else {
+			// Quarantine, as Load does: a file that fails its header
+			// check (a stale format version, a torn header) will never
+			// load, so it is counted once and deleted.
+			_ = os.Remove(filepath.Join(dir, name))
 			c.corrupt.Add(1)
 		}
 	}

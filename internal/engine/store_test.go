@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -147,6 +149,34 @@ func TestDiskCacheVersionSkew(t *testing.T) {
 		}
 		if _, ok := c2.Load(key); ok {
 			t.Errorf("version %d: stale-version entry loaded as a hit", version)
+		}
+	}
+}
+
+// TestDiskCacheBootDeletesStaleEntries: the boot sweep deletes a file
+// that fails its header check, so the first boot over a version-1 entry
+// counts it corrupt once and the next boot finds nothing to count.
+func TestDiskCacheBootDeletesStaleEntries(t *testing.T) {
+	dir := t.TempDir()
+	key := strings.Repeat("ab", 32)
+	// A well-formed entry in every respect but its version.
+	sum := sha256.Sum256([]byte("{}"))
+	entry := fmt.Sprintf(`{"format":%q,"version":1,"key":%q,"payload_sha256":%q,"payload_bytes":2}`+"\n{}",
+		storeFormatName, key, hex.EncodeToString(sum[:]))
+	p := filepath.Join(dir, key+storeExt)
+	if err := os.WriteFile(p, []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for boot, want := range []uint64{1, 0} {
+		c, err := OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().Corrupt; got != want || c.Len() != 0 {
+			t.Errorf("boot %d: %d corrupt, %d indexed; want %d and 0", boot+1, got, c.Len(), want)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("boot %d: stale entry still present (stat err %v)", boot+1, err)
 		}
 	}
 }

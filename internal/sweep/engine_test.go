@@ -9,6 +9,7 @@ import (
 
 	"nvmllc/internal/engine"
 	"nvmllc/internal/reference"
+	"nvmllc/internal/system"
 	"nvmllc/internal/workload"
 )
 
@@ -133,5 +134,61 @@ func TestConfigProgressCallback(t *testing.T) {
 	}
 	if events != len(reference.FixedCapacityModels()) {
 		t.Errorf("progress events = %d, want %d", events, len(reference.FixedCapacityModels()))
+	}
+}
+
+// TestTableVISecondCallFullyCached: Table VI's features are engine jobs,
+// so a second table on the same engine generates no trace and measures
+// nothing; all 16 rows are feature-cache hits, identical to the first.
+func TestTableVISecondCallFullyCached(t *testing.T) {
+	eng := engine.New()
+	cfg := Config{Opts: workload.Options{Accesses: 5000, Seed: 3}, Engine: eng}
+	first, err := TableVI(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	if before.Features != 16 || before.TraceGens != 16 || before.Jobs() != 0 {
+		t.Fatalf("first table: %d measured, %d traces generated, %d jobs; want 16, 16, 0", before.Features, before.TraceGens, before.Jobs())
+	}
+	second, err := TableVI(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("second Table VI differs from the first")
+	}
+	after := eng.Stats()
+	if after.TraceGens != before.TraceGens || after.Features != before.Features || after.FeatureHits != 16 {
+		t.Errorf("second table: %d traces generated, %d measured, %d feature hits; want 0, 0, 16",
+			after.TraceGens-before.TraceGens, after.Features-before.Features, after.FeatureHits)
+	}
+}
+
+// TestTableVITracesServeSimulations: the traces Table VI characterizes
+// stay resident, so a simulation batch over the same workloads and
+// options generates none of them again.
+func TestTableVITracesServeSimulations(t *testing.T) {
+	eng := engine.New()
+	opts := workload.Options{Accesses: 5000, Seed: 3}
+	if _, err := TableVI(context.Background(), Config{Opts: opts, Engine: eng}); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	names := workload.CharacterizedNames()
+	jobs := make([]engine.Job, len(names))
+	for i, name := range names {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = engine.StreamJob(p, opts, system.Gainestown(reference.SRAMBaseline()))
+	}
+	if _, err := eng.RunAll(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Stats()
+	if gens := after.TraceGens - before.TraceGens; gens != 0 || after.TraceShared-before.TraceShared != uint64(len(jobs)) {
+		t.Errorf("simulation batch generated %d traces and shared %d, want 0 and %d", gens, after.TraceShared-before.TraceShared, len(jobs))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"nvmllc/internal/charfw"
-	"nvmllc/internal/prism"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/workload"
 )
@@ -50,16 +49,17 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]*charfw.Panel, error) {
 		nvms = append([]string(nil), reference.BestNVMs...)
 	}
 
-	fw, err := buildFramework(cfg, ws)
+	// One engine answers the measured features and one simulation sweep
+	// per configuration over the target workloads, so the sweeps replay
+	// the characterized traces and shared design points (the SRAM
+	// baseline is identical in the fixed-capacity and fixed-area model
+	// sets) simulate exactly once.
+	cfg.Config.Engine = cfg.Config.engineOrNew()
+	fw, err := buildFramework(ctx, cfg, ws)
 	if err != nil {
 		return nil, err
 	}
 
-	// One simulation sweep per configuration over the target workloads,
-	// both through one engine so shared design points (the SRAM baseline
-	// is identical in the fixed-capacity and fixed-area model sets)
-	// simulate exactly once.
-	cfg.Config.Engine = cfg.Config.engineOrNew()
 	fixCap, err := RunFigure(ctx, "fig4 fixed-capacity", reference.FixedCapacityModels(), ws, cfg.Config)
 	if err != nil {
 		return nil, err
@@ -98,8 +98,9 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]*charfw.Panel, error) {
 	return panels, nil
 }
 
-// buildFramework assembles the feature table from the configured source.
-func buildFramework(cfg Figure4Config, ws []string) (*charfw.Framework, error) {
+// buildFramework assembles the feature table from the configured source,
+// measuring features on cfg's engine.
+func buildFramework(ctx context.Context, cfg Figure4Config, ws []string) (*charfw.Framework, error) {
 	fw := charfw.New()
 	switch cfg.Source {
 	case PaperFeatures:
@@ -112,16 +113,12 @@ func buildFramework(cfg Figure4Config, ws []string) (*charfw.Framework, error) {
 			fw.AddWorkload(w, f)
 		}
 	case MeasuredFeatures:
-		for _, w := range ws {
-			p, err := workload.ByName(w)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := workload.Generate(p, cfg.Opts)
-			if err != nil {
-				return nil, err
-			}
-			fw.AddWorkload(w, prism.Characterize(tr, prism.Config{}))
+		measured, err := measureFeatures(ctx, cfg.Engine, ws, cfg.Opts)
+		if err != nil {
+			return nil, err
+		}
+		for i, w := range ws {
+			fw.AddWorkload(w, measured[i])
 		}
 	default:
 		return nil, fmt.Errorf("sweep: unknown feature source %d", cfg.Source)

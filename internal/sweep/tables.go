@@ -2,10 +2,8 @@ package sweep
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 
+	"nvmllc/internal/engine"
 	"nvmllc/internal/nvsim"
 	"nvmllc/internal/prism"
 	"nvmllc/internal/reference"
@@ -59,53 +57,34 @@ type TableVIRow struct {
 }
 
 // TableVI characterizes the 16 PRISM-compatible workloads with the prism
-// profiler and pairs each with the paper's published features. The
-// workloads are characterized side by side, one per worker (the engine's
-// bound, or cfg.Parallelism without one); rows keep the workload order.
+// profiler, as one batch of engine feature jobs, and pairs each with the
+// paper's published features; rows keep the workload order.
 func TableVI(ctx context.Context, cfg Config) ([]TableVIRow, error) {
-	_, span := cfg.startSpan(ctx, "table_vi")
+	ctx, span := cfg.startSpan(ctx, "table_vi")
 	defer span.End()
-	paper := reference.PaperFeatures()
 	names := workload.CharacterizedNames()
-	rows := make([]TableVIRow, len(names))
-	errs := make([]error, len(names))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(cfg.workers(), len(names)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				name := names[i]
-				var f prism.Features
-				f, errs[i] = characterize(ctx, name, cfg.Opts)
-				rows[i] = TableVIRow{Workload: name, Measured: f, Paper: paper[name]}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	measured, err := measureFeatures(ctx, cfg.engineOrNew(), names, cfg.Opts)
+	if err != nil {
 		return nil, err
+	}
+	paper := reference.PaperFeatures()
+	rows := make([]TableVIRow, len(names))
+	for i, name := range names {
+		rows[i] = TableVIRow{Workload: name, Measured: measured[i], Paper: paper[name]}
 	}
 	return rows, nil
 }
 
-// characterize generates one workload's trace and profiles it.
-func characterize(ctx context.Context, name string, opts workload.Options) (prism.Features, error) {
-	if err := ctx.Err(); err != nil {
-		return prism.Features{}, err
+// measureFeatures characterizes the named workloads' traces under opts
+// on the engine, in name order.
+func measureFeatures(ctx context.Context, eng *engine.Engine, names []string, opts workload.Options) ([]prism.Features, error) {
+	jobs := make([]engine.FeatureJob, len(names))
+	for i, name := range names {
+		p, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = engine.StreamFeatureJob(p, opts, prism.Config{})
 	}
-	p, err := workload.ByName(name)
-	if err != nil {
-		return prism.Features{}, err
-	}
-	tr, err := workload.Generate(p, opts)
-	if err != nil {
-		return prism.Features{}, err
-	}
-	return prism.Characterize(tr, prism.Config{}), nil
+	return eng.Characterize(ctx, jobs)
 }

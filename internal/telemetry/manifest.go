@@ -72,7 +72,8 @@ type ManifestEvent struct {
 	// Engine is the final engine counter snapshot (run_end only, when
 	// the tool registered its engine): how many design points simulated
 	// vs cached, and how much work the estimator fast path absorbed
-	// (profiling passes and profile-cache hits).
+	// (profiling passes and profile-cache hits) and the feature cache
+	// absorbed (characterizations and feature-cache hits).
 	Engine *ManifestEngine `json:"engine,omitempty"`
 }
 
@@ -88,6 +89,8 @@ type ManifestEngine struct {
 	TraceShared uint64 `json:"trace_shared,omitempty"`
 	Profiles    uint64 `json:"profiles,omitempty"`
 	ProfileHits uint64 `json:"profile_hits,omitempty"`
+	Features    uint64 `json:"features,omitempty"`
+	FeatureHits uint64 `json:"feature_hits,omitempty"`
 }
 
 // ManifestWriter emits JSONL manifest events. It is safe for concurrent

@@ -125,11 +125,15 @@ func Decode(r io.Reader) (*Trace, error) {
 	if count > maxAccesses {
 		return nil, fmt.Errorf("trace: access count %d exceeds limit", count)
 	}
+	// The declared count sizes the first allocation only up to a bound:
+	// a short input declaring 2^32 accesses must fail on its missing
+	// accesses, not on a 64 GiB allocation.
+	const maxPrealloc = 1 << 16
 	t := &Trace{
 		Name:       string(name),
 		InstrCount: instr,
 		Threads:    int(threads),
-		Accesses:   make([]Access, 0, count),
+		Accesses:   make([]Access, 0, min(count, maxPrealloc)),
 	}
 	var prev uint64
 	for i := uint64(0); i < count; i++ {
