@@ -10,7 +10,7 @@
 // sweep with the trace materialized once vs regenerated per design
 // point), and geometry-sweep profiling (eight LLC capacities simulated
 // exactly one by one vs answered by a single filtered reuse-distance
-// profile, the internal/sweep estimator's fast path, gated at ≥3×) —
+// profile, the estimate artifact's single pass, gated at ≥3×) —
 // plus the trace generator, and writes the results as JSON. The
 // committed BENCH_hotloop.json at the repository root is this program's
 // output: the repo's perf baseline, regenerated whenever the hot path
@@ -381,9 +381,9 @@ func main() {
 	// Geometry-sweep profiling: eight SRAM-class LLC capacities over one
 	// quad-core trace, simulated exactly one after another versus answered
 	// by a single filtered reuse-distance profile — the internal/sweep
-	// estimator's fast path. The profiled side does strictly more than the
-	// estimator needs (it also covers every associativity 1..16), so the
-	// measured speedup is a floor on what sweeps see per anchor.
+	// estimate artifact's single pass. The profiled side does strictly
+	// more than the artifact needs (it also covers every associativity
+	// 1..16), so the measured speedup is a floor.
 	fmt.Fprintln(os.Stderr, "measuring Profile_8Geometries...")
 	profOpts := workload.Options{Accesses: *accesses, Threads: 4, Seed: 1}
 	profTr, err := workload.Generate(p, profOpts)
@@ -495,7 +495,7 @@ func main() {
 
 	// Profile gate: one reuse-distance profile must beat the 8-geometry
 	// exact sweep by the configured factor — the headline claim of the
-	// sweep estimator, and the regression canary for the Fenwick hot path.
+	// single-pass profile, and the regression canary for the Fenwick hot path.
 	if *gateProfileX >= 0 {
 		for _, c := range rep.Comparisons {
 			if c.Dimension != "profile" {

@@ -42,7 +42,7 @@ func main() {
 	timelineCSV := flag.String("timeline-csv", "", "write the full-resolution epoch series (and per-set wear grid) to this CSV path (implies -timeline)")
 	faults := flag.Bool("faults", false, "inject wear-driven stuck-at faults (endurance from the LLC's NVM class)")
 	prewear := flag.Float64("prewear", 0, "pre-age the LLC by this many per-cell writes before the run (implies -faults)")
-	estimate := flag.Bool("estimate", false, "validate the reuse-distance estimator on -workload: profile-predicted vs exact hit rate/MPKI/time per LLC geometry")
+	estimate := flag.Bool("estimate", false, "validate the reuse-distance profile on -workload: profile-predicted vs exact LLC hit rate and MPKI per LLC geometry")
 	mainMemTech := flag.String("mainmem", "", "replace DRAM with an NVMain-style main memory: dram, pcram, sttram, rram")
 	hybridWays := flag.Int("hybridsram", 0, "make the LLC a hybrid with this many SRAM ways (rest NVM from -llc)")
 	artifactSel := cliutil.ArtifactFlag(nil, sweep.ArtifactNames())
@@ -101,7 +101,7 @@ func runArtifacts(ctx context.Context, obs *cliutil.Observability, std *cliutil.
 	return nil
 }
 
-// runEstimate runs the estimator-validation study for one workload: a
+// runEstimate runs the profile-validation study for one workload: a
 // capacity ladder of SRAM-class LLCs simulated exactly, against one
 // reuse-distance profile predicting all of them.
 func runEstimate(ctx context.Context, obs *cliutil.Observability, std *cliutil.Flags, wl string, threads int, contention bool) error {

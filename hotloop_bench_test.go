@@ -175,7 +175,7 @@ func BenchmarkProfile_SinglePass(b *testing.B) {
 	}
 }
 
-// BenchmarkProfile_8Geometries measures the sweep estimator's fused
+// BenchmarkProfile_8Geometries measures the reuse-distance profile's fused
 // pass: the functional L1/L2 filter plus stack profiling at eight LLC
 // set counts (256 KiB to 32 MiB), the single pass that replaces eight
 // exact simulations. Compare against 8× BenchmarkHotLoop_4Cores;

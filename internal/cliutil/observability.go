@@ -159,8 +159,8 @@ type Observability struct {
 }
 
 // TrackEngine registers the run's engine so Close can stamp its final
-// counter snapshot — including estimator usage (profiling passes and
-// profile-cache hits) — into the run_end manifest event.
+// counter snapshot — including profiling passes and profile-cache
+// hits — into the run_end manifest event.
 func (o *Observability) TrackEngine(eng *engine.Engine) { o.engStats = eng.Stats }
 
 // StartObservability builds the run's observability surface from the

@@ -155,7 +155,7 @@ func (s Stats) String() string {
 	if s.Passes > 0 && s.Passes < s.Simulated+s.Upgraded+s.Failed {
 		out = fmt.Sprintf("%s, %d passes", out, s.Passes)
 	}
-	if s.TraceShared > 0 {
+	if s.TraceGens+s.TraceShared > 0 {
 		out = fmt.Sprintf("%s, %d traces generated / %d shared", out, s.TraceGens, s.TraceShared)
 	}
 	if s.TraceRetainedBytes > 0 {

@@ -372,6 +372,17 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// TestStatsStringShowsUnsharedGenerations: a run whose traces were all
+// generated and never shared still reports its generations.
+func TestStatsStringShowsUnsharedGenerations(t *testing.T) {
+	if str, want := (Stats{TraceGens: 16}).String(), "16 traces generated / 0 shared"; !contains(str, want) {
+		t.Errorf("Stats.String() = %q missing %q", str, want)
+	}
+	if str := (Stats{}).String(); contains(str, "traces generated") {
+		t.Errorf("Stats.String() = %q reports trace counts with none generated or shared", str)
+	}
+}
+
 func TestProgressEvents(t *testing.T) {
 	var cachedSeen, simSeen atomic.Int64
 	e := New(WithProgress(func(ev Event) {

@@ -167,7 +167,7 @@ func (e *Engine) profileSource(ctx context.Context, pj ProfileJob, sc *profile.S
 	}
 	// Share the materialized trace with simulation jobs over the same
 	// (workload, options) pair: shareKey ignores everything profile-
-	// specific, so an estimator sweep generates its workload once for
+	// specific, so the estimate artifact generates its workload once for
 	// its exact simulations and the profile that follows them.
 	alias := Job{Workload: pj.Workload, TraceOpts: pj.TraceOpts, Source: pj.Source, NoCache: pj.NoCache}
 	src, release, err := e.sharedSource(alias, src, 1)

@@ -18,8 +18,9 @@ package engine
 // RunAll pins every distinct share key up front so a batch can never
 // evict its own traces. When the last reference drops, a materialized
 // trace stays resident, keyed, on an LRU list: a later job over the same
-// trace — the next LLC config a serving client submits, an estimator's
-// profile after its exact batch — revives it instead of regenerating.
+// trace — the next LLC config a serving client submits, the estimate
+// artifact's profile after its exact batch — revives it instead of
+// regenerating.
 // Every materialized trace counts against one byte budget
 // (WithTraceShareLimit). Before a trace is materialized, retained
 // entries are evicted least recently used first until it fits, and the

@@ -115,17 +115,6 @@ func (p *Profiler) Observe(a trace.Access) {
 	}
 }
 
-// ObserveStream drains a stream into the profiler.
-func (p *Profiler) ObserveStream(s trace.Stream) {
-	for {
-		a, ok := s.Next()
-		if !ok {
-			return
-		}
-		p.Observe(a)
-	}
-}
-
 // Features computes the feature vector from everything observed so far.
 func (p *Profiler) Features() Features {
 	m := p.cfg.skipBits()

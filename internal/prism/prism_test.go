@@ -154,7 +154,9 @@ func TestProfilerStreamingMatchesBatch(t *testing.T) {
 	tr.InstrCount = uint64(len(tr.Accesses))
 	batch := Characterize(tr, Config{})
 	p := NewProfiler(Config{})
-	p.ObserveStream(trace.NewSliceStream(tr.Accesses))
+	for _, a := range tr.Accesses {
+		p.Observe(a)
+	}
 	stream := p.Features()
 	b, s := batch.Vector(), stream.Vector()
 	for i := range b {

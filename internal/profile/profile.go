@@ -227,16 +227,6 @@ func (p *Profile) HitsFor(sets, ways int) (hits uint64, ok bool) {
 	return lv.cum[ways], true
 }
 
-// MissesFor is Demand − HitsFor (cold and beyond-bound distances
-// included).
-func (p *Profile) MissesFor(sets, ways int) (misses uint64, ok bool) {
-	hits, ok := p.HitsFor(sets, ways)
-	if !ok {
-		return 0, false
-	}
-	return p.Demand - hits, true
-}
-
 // Curve returns the hit-rate-vs-associativity curve for a set count
 // (index a-1 holds associativity a), or nil if the set count was not
 // profiled.

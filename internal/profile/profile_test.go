@@ -115,10 +115,6 @@ func TestDerivationIdentities(t *testing.T) {
 			t.Errorf("hits not monotonic in ways: %d ways gives %d < %d", ways, hits, prev)
 		}
 		prev = hits
-		misses, _ := p.MissesFor(512, ways)
-		if hits+misses != p.Demand {
-			t.Errorf("%d ways: hits %d + misses %d != demand %d", ways, hits, misses, p.Demand)
-		}
 	}
 	if _, ok := p.HitsFor(1024, 4); ok {
 		t.Error("HitsFor on an unprofiled set count should report !ok")

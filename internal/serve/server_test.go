@@ -489,6 +489,37 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestInvalidMachineRejectedAtAdmission: a spec whose compiled machine
+// fails system.Config.Validate (65 cores; the simulator allows 1..64)
+// answers 400 and counts as invalid; no job is admitted or simulated.
+func TestInvalidMachineRejectedAtAdmission(t *testing.T) {
+	reg := telemetry.New()
+	eng := engine.New()
+	_, ts := newTestServer(t, Config{Registry: reg, Engine: eng})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"bzip2","llc":"SRAM","cores":65}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cores 65: HTTP %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(body.Error, "cores = 65") {
+		t.Errorf("error %q does not name the invalid core count", body.Error)
+	}
+	if got := reg.Counter("serve_jobs_total", "outcome", "invalid").Value(); got != 1 {
+		t.Errorf("invalid count = %d, want 1", got)
+	}
+	if got := eng.Stats().Jobs(); got != 0 {
+		t.Errorf("engine ran %d jobs for a rejected spec", got)
+	}
+}
+
 // TestResultBeforeTerminalConflicts: fetching a result for a queued or
 // running job answers 409 with the job's current status.
 func TestResultBeforeTerminalConflicts(t *testing.T) {
@@ -584,4 +615,30 @@ func TestJobEviction(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+ids[0], nil); code != http.StatusNotFound {
 		t.Errorf("oldest job still resolvable: HTTP %d, want 404 after eviction", code)
 	}
+}
+
+// BenchmarkBuildSimJob measures admission's spec compilation, and the
+// system.Config.Validate call inside it on its own.
+func BenchmarkBuildSimJob(b *testing.B) {
+	spec := JobSpec{Workload: "cg", LLC: "Jan_S", Accesses: 100000, Cores: 8, Faults: true}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := buildSimJob(spec, 20000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	j, err := buildSimJob(spec, 20000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("validate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := j.Config.Validate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -91,7 +91,9 @@ func (s JobSpec) timeout(def time.Duration) time.Duration {
 // buildSimJob validates a "sim" spec and compiles it to a streaming
 // engine job (the trace is generated chunk-at-a-time per simulation, so
 // the server holds O(chunk) trace memory per worker, and cache hits skip
-// generation entirely).
+// generation entirely). The compiled machine is checked with
+// system.Config.Validate, so a spec the simulator would refuse is
+// rejected at admission instead of failing in a worker.
 func buildSimJob(s JobSpec, defaultAccesses int) (engine.Job, error) {
 	var zero engine.Job
 	if s.Workload == "" {
@@ -145,6 +147,9 @@ func buildSimJob(s JobSpec, defaultAccesses int) (engine.Job, error) {
 			SRAMWays: s.HybridSRAMWays,
 		}
 		cfg.TrackWear = false // unsupported in hybrid mode
+	}
+	if err := cfg.Validate(); err != nil {
+		return zero, fmt.Errorf("sim job: %w", err)
 	}
 	// StreamJob resolves the thread count and seed defaults (4 and 1).
 	opts := workload.Options{Accesses: accesses, Threads: s.Threads, Seed: s.Seed}

@@ -188,28 +188,23 @@ func TestCoreSweepReusesFigure2b(t *testing.T) {
 	}
 }
 
-// TestEstimatorReusesExactTrace: the estimator paths profile, or replay
-// aged points, after their exact batch has returned. The engine retains
-// the batch's traces, so on a fresh engine each path generates every
-// distinct trace once: the figure grid's two workloads, and the single
-// workload of the estimate and degradation studies.
+// TestEstimatorReusesExactTrace: the two-step studies run a second step
+// after their first batch has returned: the estimate artifact profiles
+// its workload, and Degradation replays its aged points. The engine
+// retains the first batch's trace, so on a fresh engine each study
+// generates its one workload's trace once and the second step shares it.
 func TestEstimatorReusesExactTrace(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name     string
-		traces   uint64
 		profiles uint64
 		run      func(Config) error
 	}{
-		{"figure", 2, 2, func(cfg Config) error {
-			_, err := RunFigure(ctx, "estimated", reference.FixedCapacityModels(), []string{"is", "bzip2"}, cfg)
-			return err
-		}},
-		{"estimate", 1, 1, func(cfg Config) error {
+		{"estimate", 1, func(cfg Config) error {
 			_, err := Estimate(ctx, cfg, EstimateOptions{})
 			return err
 		}},
-		{"degradation", 1, 1, func(cfg Config) error {
+		{"degradation", 0, func(cfg Config) error {
 			_, err := Degradation(ctx, cfg, DegradationOptions{AgesYears: []float64{0.5, 2}})
 			return err
 		}},
@@ -217,17 +212,16 @@ func TestEstimatorReusesExactTrace(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := engine.New()
-			cfg := Config{Opts: batchOpts, Engine: eng, Estimator: &Estimator{PinExact: []string{"Kang_P"}}}
-			if err := tc.run(cfg); err != nil {
+			if err := tc.run(Config{Opts: batchOpts, Engine: eng}); err != nil {
 				t.Fatal(err)
 			}
 			st := eng.Stats()
-			if st.TraceGens != tc.traces || st.Profiles != tc.profiles {
-				t.Errorf("TraceGens = %d, Profiles = %d, want %d/%d (one generation per distinct trace)",
-					st.TraceGens, st.Profiles, tc.traces, tc.profiles)
+			if st.TraceGens != 1 || st.Profiles != tc.profiles {
+				t.Errorf("TraceGens = %d, Profiles = %d, want 1/%d (one generation per distinct trace)",
+					st.TraceGens, st.Profiles, tc.profiles)
 			}
 			if st.TraceShared == 0 {
-				t.Error("the profile and later batch shared no trace")
+				t.Error("the second step and the first batch shared no trace")
 			}
 		})
 	}

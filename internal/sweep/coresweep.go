@@ -64,7 +64,7 @@ func CoreSweep(ctx context.Context, name string, cores []int, cfg Config) (*Core
 			models: []nvsim.LLCModel{reference.SRAMBaseline()}})
 		base = len(points) - 1
 	}
-	raw, err := runPoints(ctx, cfg.engineOrNew(), points, cfg)
+	raw, err := runAll(ctx, cfg.engineOrNew(), points, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -13,12 +13,10 @@ import (
 	"fmt"
 	"math"
 
-	"nvmllc/internal/cache"
 	"nvmllc/internal/endurance"
 	"nvmllc/internal/engine"
 	"nvmllc/internal/fault"
 	"nvmllc/internal/nvm"
-	"nvmllc/internal/profile"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/workload"
@@ -160,48 +158,6 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 		study.AgesYears = deriveAgeLadder(study.Curves)
 	}
 
-	// Estimator fast path: non-pinned curves derive their aged points
-	// from one reuse-distance profile plus the fault injector's pre-aged
-	// capacity census (fault.New draws the same deterministic wear-out
-	// the replay would start from), instead of replaying the workload
-	// once per age. WriteRetries/LinesLost stay zero on estimated
-	// points: runtime write-verify traffic needs the replay.
-	est := cfg.Estimator
-	exactCurve := make([]bool, len(study.Curves))
-	anyEstimated := false
-	for ci := range study.Curves {
-		exactCurve[ci] = est == nil || est.pins(study.Curves[ci].LLC)
-		if !exactCurve[ci] {
-			anyEstimated = true
-		}
-	}
-	tmpl := system.Gainestown(reference.SRAMBaseline())
-	var prof *profile.Profile
-	if anyEstimated {
-		var caps []int64
-		for ci := range study.Curves {
-			if !exactCurve[ci] {
-				model, _ := reference.ModelByName(models, study.Curves[ci].LLC)
-				caps = append(caps, model.CapacityBytes)
-			}
-		}
-		geoms, err := cache.EnumerateGeoms(caps, tmpl.BlockBytes, tmpl.LLCWays)
-		if err != nil {
-			return nil, err
-		}
-		pj := engine.StreamProfileJob(p, cfg.Opts, profile.Config{
-			BlockBytes: tmpl.BlockBytes,
-			SetCounts:  cache.SetCountsOf(geoms),
-			MaxWays:    max(tmpl.LLCWays, est.MaxWays),
-		})
-		h := hierarchyFor(tmpl)
-		pj.Hierarchy = &h
-		prof, err = eng.RunProfile(ctx, pj)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Aged pass: every (LLC, age) point, faults enabled with the
 	// cumulative wear pre-applied. Ages are shared absolute years, so the
 	// short-lived technology decays across the ladder while long-lived
@@ -212,42 +168,6 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 	for ci := range study.Curves {
 		curve := &study.Curves[ci]
 		model, _ := reference.ModelByName(models, curve.LLC)
-		if !exactCurve[ci] {
-			sets, err := cache.SetsFor(model.CapacityBytes, tmpl.BlockBytes, tmpl.LLCWays)
-			if err != nil {
-				return nil, err
-			}
-			for _, age := range study.AgesYears {
-				pre := curve.PerCellWritesPerSec * age * endurance.SecondsPerYear
-				fc := fault.Config{
-					Options:       fault.Options{Class: model.Class},
-					Seed:          opts.FaultSeed,
-					PreWearWrites: pre,
-				}
-				pt := DegradationPoint{AgeYears: age, PreWearWrites: pre, CapacityFraction: 1}
-				waysEff := float64(tmpl.LLCWays)
-				if fc.Enabled() {
-					inj, err := fault.New(fc, sets, tmpl.LLCWays)
-					if err != nil {
-						return nil, err
-					}
-					fs := inj.Stats()
-					waysEff = float64(tmpl.LLCWays) * fs.CapacityFraction()
-					pt.CapacityFraction = fs.CapacityFraction()
-					pt.CondemnedWays = fs.InitialDisabledWays
-					pt.DeadSets = fs.DeadSets
-				}
-				r, err := estimateResult(baseResults[ci], model, prof, model, sets, tmpl.LLCWays, waysEff, tmpl.L2LatencyNS)
-				if err != nil {
-					return nil, err
-				}
-				pt.IPC = r.IPC()
-				pt.MPKI = r.LLCMPKI()
-				pt.TimeNS = r.TimeNS
-				curve.Points = append(curve.Points, pt)
-			}
-			continue
-		}
 		for ai, age := range study.AgesYears {
 			sysCfg := system.Gainestown(model)
 			sysCfg.ModelWriteContention = cfg.WriteContention

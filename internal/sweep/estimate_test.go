@@ -2,278 +2,31 @@ package sweep
 
 import (
 	"context"
-	"math"
-	"reflect"
 	"testing"
 
-	"nvmllc/internal/engine"
-	"nvmllc/internal/reference"
 	"nvmllc/internal/workload"
 )
 
-// estTestCfg keeps estimator integration runs fast.
-func estTestCfg() Config {
-	return Config{Opts: workload.Options{Accesses: 20000, Seed: 3}}
-}
-
-// TestEstimatorFigureMatchesExact runs the same small figure exactly and
-// through the fast path. Fixed-capacity models all share the 2 MB × 16-way
-// geometry, so for single-threaded workloads (no coherence, which the
-// profile filter does not model) the estimated hit/miss counts must EQUAL
-// the exact simulator's; the multi-threaded workload gets a tolerance.
-func TestEstimatorFigureMatchesExact(t *testing.T) {
-	names := []string{"bzip2", "milc", "ft"}
-	st := map[string]bool{"bzip2": true, "milc": true}
-	models := reference.FixedCapacityModels()
-
-	exact, err := RunFigure(context.Background(), "exact", models, names, estTestCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New()
-	cfg := estTestCfg()
-	cfg.Engine = eng
-	cfg.Estimator = &Estimator{}
-	fast, err := RunFigure(context.Background(), "fast", models, names, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, w := range names {
-		if fast.Raw[w]["SRAM"].Estimated {
-			t.Errorf("%s: SRAM anchor marked estimated", w)
-		}
-		for _, m := range models {
-			if m.Name == "SRAM" {
-				continue
-			}
-			er := exact.Raw[w][m.Name]
-			fr := fast.Raw[w][m.Name]
-			if fr == nil {
-				t.Fatalf("%s/%s: missing fast-path result", w, m.Name)
-			}
-			if !fr.Estimated {
-				t.Errorf("%s/%s: fast-path result not marked estimated", w, m.Name)
-			}
-			if st[w] {
-				if fr.LLC.Hits != er.LLC.Hits || fr.LLC.Misses != er.LLC.Misses || fr.LLC.Writes != er.LLC.Writes {
-					t.Errorf("%s/%s: estimated LLC counts %d/%d/%d, exact %d/%d/%d",
-						w, m.Name, fr.LLC.Hits, fr.LLC.Misses, fr.LLC.Writes,
-						er.LLC.Hits, er.LLC.Misses, er.LLC.Writes)
-				}
-			} else if d := float64(fr.LLC.Hits) - float64(er.LLC.Hits); math.Abs(d) > 0.05*float64(er.LLC.Accesses()) {
-				t.Errorf("%s/%s: estimated hits %d vs exact %d (>5%% of accesses off)",
-					w, m.Name, fr.LLC.Hits, er.LLC.Hits)
-			}
-			if fr.TimeNS <= 0 || fr.LLCEnergyJ() <= 0 {
-				t.Errorf("%s/%s: non-positive estimated time/energy", w, m.Name)
-			}
-		}
-	}
-
-	// The point of the fast path: one exact simulation (the anchor) and
-	// one profile per workload, instead of one simulation per model.
-	s := eng.Stats()
-	if got, want := s.Jobs(), uint64(len(names)); got != want {
-		t.Errorf("fast path simulated %d jobs, want %d (anchors only)", got, want)
-	}
-	if s.Profiles != uint64(len(names)) {
-		t.Errorf("fast path profiled %d times, want %d", s.Profiles, len(names))
-	}
-}
-
-// TestEstimatorPinExactEquivalence pins every model: the fast path then
-// degenerates to the exact grid and must reproduce it verbatim.
-func TestEstimatorPinExactEquivalence(t *testing.T) {
-	names := []string{"bzip2"}
-	models := reference.FixedCapacityModels()
-	exact, err := RunFigure(context.Background(), "t", models, names, estTestCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := estTestCfg()
-	var pins []string
-	for _, m := range models {
-		pins = append(pins, m.Name)
-	}
-	cfg.Estimator = &Estimator{PinExact: pins}
-	pinned, err := RunFigure(context.Background(), "t", models, names, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(exact.Speedup, pinned.Speedup) ||
-		!reflect.DeepEqual(exact.Energy, pinned.Energy) ||
-		!reflect.DeepEqual(exact.ED2P, pinned.ED2P) {
-		t.Error("fully pinned estimator grid differs from the exact grid")
-	}
-	for w, row := range exact.Raw {
-		for llc, er := range row {
-			pr := pinned.Raw[w][llc]
-			if pr == nil || pr.Estimated {
-				t.Fatalf("%s/%s: pinned result missing or estimated", w, llc)
-			}
-			if !reflect.DeepEqual(er.LLC, pr.LLC) || er.TimeNS != pr.TimeNS {
-				t.Errorf("%s/%s: pinned result differs from exact", w, llc)
-			}
-		}
-	}
-}
-
-// TestEstimatorAnchorReproducesExactTime checks the delta correction's
-// fixed point: estimating the anchor's own model and geometry must give
-// back the anchor's exact execution time (single-threaded workload, so
-// the predicted counts equal the exact ones).
-func TestEstimatorAnchorReproducesExactTime(t *testing.T) {
-	study, err := Estimate(context.Background(), estTestCfg(), EstimateOptions{Workload: "bzip2"})
+// TestEstimateSingleThreadedExact: the profile filter replicates the
+// simulator's private-level walk access for access, so on a
+// single-threaded workload (no coherence) the profile's predicted hits
+// equal the exact simulator's at every ladder geometry.
+func TestEstimateSingleThreadedExact(t *testing.T) {
+	cfg := Config{Opts: workload.Options{Accesses: 20000, Seed: 3}}
+	study, err := Estimate(context.Background(), cfg, EstimateOptions{Workload: "bzip2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(study.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(study.Rows))
 	}
-	anchors := 0
 	for _, r := range study.Rows {
 		if r.PredHits != r.ExactHits {
 			t.Errorf("%d×%d: predicted hits %d, exact %d (single-threaded filter must be exact)",
 				r.Sets, r.Ways, r.PredHits, r.ExactHits)
 		}
-		if r.Anchor {
-			anchors++
-			if math.Abs(r.TimeErrPct) > 1e-9 {
-				t.Errorf("anchor time error %.6f%%, want 0 by construction", r.TimeErrPct)
-			}
-		}
-		if r.PredTimeNS <= 0 || r.ExactTimeNS <= 0 {
-			t.Errorf("%d×%d: non-positive times", r.Sets, r.Ways)
-		}
-	}
-	if anchors != 1 {
-		t.Fatalf("anchor rows = %d, want 1", anchors)
 	}
 	if study.MaxAbsRateErr != 0 {
 		t.Errorf("max |Δhit rate| = %.4f pp, want 0 for a single-threaded workload", study.MaxAbsRateErr)
-	}
-}
-
-// TestPredictEstimatorOrdering is the satellite regression: the
-// prediction study through the fast path must rank the candidate NVMs
-// identically to the exact study for every test workload — the decision
-// the Section VI designer actually reads off the table.
-func TestPredictEstimatorOrdering(t *testing.T) {
-	exact, err := Predict(context.Background(), estTestCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := estTestCfg()
-	cfg.Estimator = &Estimator{}
-	fast, err := Predict(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Rows) != len(exact.Rows) {
-		t.Fatalf("rows = %d, want %d", len(fast.Rows), len(exact.Rows))
-	}
-	rank := func(s *PredictionStudy) map[string][]string {
-		byWorkload := map[string][]string{}
-		for _, w := range workload.AINames() {
-			var rows []PredictionRow
-			for _, r := range s.Rows {
-				if r.Workload == w {
-					rows = append(rows, r)
-				}
-			}
-			for i := 0; i < len(rows); i++ {
-				for j := i + 1; j < len(rows); j++ {
-					if rows[j].Predicted < rows[i].Predicted {
-						rows[i], rows[j] = rows[j], rows[i]
-					}
-				}
-			}
-			for _, r := range rows {
-				byWorkload[w] = append(byWorkload[w], r.LLC)
-			}
-		}
-		return byWorkload
-	}
-	if got, want := rank(fast), rank(exact); !reflect.DeepEqual(got, want) {
-		t.Errorf("estimator changed the predicted NVM ordering:\nfast  %v\nexact %v", got, want)
-	}
-}
-
-// TestCoreSweepEstimator checks the core-sweep pre-pass: per core count
-// only the SRAM baseline simulates, the NVM columns are estimated.
-func TestCoreSweepEstimator(t *testing.T) {
-	eng := engine.New()
-	cfg := estTestCfg()
-	cfg.Engine = eng
-	cfg.Estimator = &Estimator{}
-	res, err := CoreSweep(context.Background(), "ft", []int{1, 2}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Raw) != 2 {
-		t.Fatalf("core points = %d, want 2", len(res.Raw))
-	}
-	for ci, row := range res.Raw {
-		for li, r := range row {
-			llc := res.LLCs[li]
-			if (llc == "SRAM") == r.Estimated {
-				t.Errorf("cores[%d]/%s: Estimated = %v", ci, llc, r.Estimated)
-			}
-			if res.Speedup[ci][li] <= 0 || res.Energy[ci][li] <= 0 {
-				t.Errorf("cores[%d]/%s: non-positive normalized values", ci, llc)
-			}
-		}
-	}
-	// One exact simulation per core count (the SRAM anchor).
-	if got := eng.Stats().Jobs(); got != 2 {
-		t.Errorf("core sweep simulated %d jobs, want 2 anchors", got)
-	}
-}
-
-// TestDegradationEstimator checks the aged-replay fast path: wearing
-// curves decay via the injector's pre-age census without replaying, the
-// pinned SRAM control stays exact and flat.
-func TestDegradationEstimator(t *testing.T) {
-	cfg := Config{Opts: workload.Options{Accesses: 15000, Seed: 3}}
-	cfg.Estimator = &Estimator{}
-	study, err := Degradation(context.Background(), cfg, DegradationOptions{
-		LLCs:      []string{"Kang_P", "SRAM"},
-		FaultSeed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(study.Curves) != 2 {
-		t.Fatalf("curves = %d, want 2", len(study.Curves))
-	}
-	for _, c := range study.Curves {
-		if len(c.Points) != len(study.AgesYears) {
-			t.Fatalf("%s: %d points, want %d", c.LLC, len(c.Points), len(study.AgesYears))
-		}
-	}
-	kang := study.Curves[0]
-	last := kang.Points[len(kang.Points)-1]
-	if last.CapacityFraction >= 1 {
-		t.Errorf("Kang_P capacity fraction %.3f at end of ladder, want < 1", last.CapacityFraction)
-	}
-	for i, pt := range kang.Points {
-		if pt.WriteRetries != 0 || pt.LinesLost != 0 {
-			t.Errorf("estimated point %d has runtime wear traffic (%d retries, %d lost)", i, pt.WriteRetries, pt.LinesLost)
-		}
-		if i > 0 && pt.CapacityFraction > kang.Points[i-1].CapacityFraction+1e-12 {
-			t.Errorf("capacity fraction increased with age at point %d", i)
-		}
-		if pt.TimeNS <= 0 || pt.IPC <= 0 {
-			t.Errorf("point %d: non-positive time/IPC", i)
-		}
-	}
-	if last.MPKI+1e-9 < kang.Points[0].MPKI {
-		t.Errorf("MPKI fell with age: %.3f -> %.3f", kang.Points[0].MPKI, last.MPKI)
-	}
-	for i, pt := range study.Curves[1].Points {
-		if pt.CapacityFraction != 1 {
-			t.Errorf("SRAM point %d: capacity fraction %.3f, want 1", i, pt.CapacityFraction)
-		}
 	}
 }

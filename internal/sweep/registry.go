@@ -60,7 +60,7 @@ var artifacts = []Artifact{
 	{"ablations", "design-lever ablation table (workload 'is' on Kang_P)", runAblationsArtifact},
 	{"degradation", "wear-driven degradation over lifetime (capacity/IPC vs age)", runDegradationArtifact},
 	{"timeline", "time-resolved phase study (per-epoch series, wear heatmaps)", runTimelineArtifact},
-	{"estimate", "estimator validation: profile-predicted vs exact hit rate/MPKI/time per geometry", runEstimateArtifact},
+	{"estimate", "profile validation: profile-predicted vs exact LLC hit rate and MPKI per geometry", runEstimateArtifact},
 }
 
 // Artifacts lists every registered artifact in presentation order.

@@ -57,13 +57,6 @@ type Config struct {
 	// own registry instruments the simulations; this field still drives
 	// the sweep spans.
 	Telemetry *telemetry.Registry
-	// Estimator, when non-nil, switches figure/core-sweep/degradation
-	// grids to the single-pass reuse-distance fast path (estimate.go):
-	// exact simulation only for the SRAM anchor and Estimator.PinExact
-	// models, profile-derived estimates (Result.Estimated) for the rest.
-	// Nil — the default — keeps every sweep exactly simulated,
-	// byte-identical to the pre-estimator behavior.
-	Estimator *Estimator
 }
 
 // engineOrNew returns the configured shared engine, or builds a private
@@ -193,7 +186,7 @@ func RunFigure(ctx context.Context, title string, models []nvsim.LLCModel, names
 		}
 		points = append(points, gridPoint{wl: p, opts: cfg.Opts, models: models})
 	}
-	rows, runErr := runPoints(ctx, cfg.engineOrNew(), points, cfg)
+	rows, runErr := runAll(ctx, cfg.engineOrNew(), points, cfg)
 	raw := make(map[string]map[string]*system.Result, len(names))
 	for i, name := range names {
 		raw[name] = rows[i]

@@ -277,9 +277,10 @@ type Result struct {
 	// (Config.Core.ClockGHz), recorded so IPC is computed against the
 	// clock that actually ran rather than a hardcoded default.
 	ClockGHz float64
-	// Estimated marks a Result derived analytically from a reuse-distance
-	// profile (internal/sweep's estimator fast path) instead of simulated.
-	// Estimated results never enter the engine's result cache.
+	// Estimated is always false: every Result is simulated, and no code
+	// path sets it. The field stays because it is part of every Result's
+	// JSON encoding, so removing it would move the Result and engine
+	// golden digests and the disk-cache payload format.
 	Estimated bool
 }
 

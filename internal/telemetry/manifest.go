@@ -71,9 +71,9 @@ type ManifestEvent struct {
 
 	// Engine is the final engine counter snapshot (run_end only, when
 	// the tool registered its engine): how many design points simulated
-	// vs cached, and how much work the estimator fast path absorbed
-	// (profiling passes and profile-cache hits) and the feature cache
-	// absorbed (characterizations and feature-cache hits).
+	// vs cached, how many reuse-distance profiles ran or hit the profile
+	// cache, and how many characterizations ran or hit the feature
+	// cache.
 	Engine *ManifestEngine `json:"engine,omitempty"`
 }
 

@@ -46,6 +46,11 @@ func (m Meta) Validate() error {
 		if n < 0 {
 			return fmt.Errorf("trace %s: thread %d has negative access count %d", m.Name, t, n)
 		}
+		// sum ≤ Accesses holds here, so this bound cannot overflow where
+		// sum += n could wrap back onto Accesses.
+		if n > m.Accesses-sum {
+			return fmt.Errorf("trace %s: per-thread counts exceed %d accesses at thread %d", m.Name, m.Accesses, t)
+		}
 		sum += n
 	}
 	if sum != m.Accesses {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/big"
 	"reflect"
 	"runtime"
 	"testing"
@@ -67,6 +69,92 @@ func FuzzDecodeText(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tr, again) {
 			t.Errorf("round trip changed the trace: %+v -> %+v", tr, again)
+		}
+	})
+}
+
+// FuzzMetaValidate feeds arbitrary stream metadata to Meta.Validate,
+// the check every ChunkSource's Meta passes before a simulation sizes
+// its per-thread state from it, and to NewSliceSource. counts holds the
+// per-thread access counts as varints; tids holds one access per byte,
+// issued by that thread. Every accepted Meta must have one count per
+// thread, summing (in exact arithmetic) to Accesses. A SliceSource is
+// built only over accesses whose per-thread counts match the Meta, and
+// draining it in chunks of chunk+1 accesses must yield exactly Accesses
+// accesses, then stay exhausted. Threads and the access slice are capped
+// so no input allocates more than about 1 MiB. The seed corpus under
+// testdata/fuzz holds a matching two-thread stream, a count list shorter
+// than Threads, a negative count and four counts that wrap an int64 sum
+// to zero.
+func FuzzMetaValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name string, threads int, instr uint64, accesses int64, counts, tids []byte, chunk uint8) {
+		if threads > 1<<12 || len(tids) > 1<<16 {
+			return
+		}
+		var per []int64
+		for len(counts) > 0 && len(per) <= threads {
+			v, n := binary.Varint(counts)
+			if n <= 0 {
+				break
+			}
+			per = append(per, v)
+			counts = counts[n:]
+		}
+		m := Meta{Name: name, Threads: threads, InstrCount: instr, Accesses: accesses, PerThread: per}
+		if err := m.Validate(); err != nil {
+			return
+		}
+		if len(m.PerThread) != m.Threads {
+			t.Fatalf("accepted %d per-thread counts for %d threads", len(m.PerThread), m.Threads)
+		}
+		sum := new(big.Int)
+		for _, n := range m.PerThread {
+			sum.Add(sum, big.NewInt(n))
+		}
+		if sum.Cmp(big.NewInt(m.Accesses)) != 0 {
+			t.Fatalf("accepted per-thread counts %v summing to %s, not %d", m.PerThread, sum, m.Accesses)
+		}
+
+		accs := make([]Access, len(tids))
+		got := make([]int64, m.Threads)
+		match := int64(len(tids)) == m.Accesses
+		for i, tid := range tids {
+			accs[i] = Access{Addr: uint64(i) << 6, Tid: tid}
+			if int(tid) >= m.Threads {
+				match = false
+				continue
+			}
+			got[tid]++
+		}
+		if !match || !reflect.DeepEqual(got, m.PerThread) {
+			if int64(len(accs)) != m.Accesses {
+				if _, err := NewSliceSource(m, accs); err == nil {
+					t.Fatalf("NewSliceSource accepted %d accesses for a Meta declaring %d", len(accs), m.Accesses)
+				}
+			}
+			return
+		}
+		src, err := NewSliceSource(m, accs)
+		if err != nil {
+			t.Fatalf("NewSliceSource rejected matching accesses: %v", err)
+		}
+		buf := make([]Access, int(chunk)+1)
+		var drained int64
+		for {
+			n, err := src.ReadChunk(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			drained += int64(n)
+		}
+		if drained != m.Accesses {
+			t.Errorf("drained %d accesses, Meta declares %d", drained, m.Accesses)
+		}
+		if n, err := src.ReadChunk(buf); n != 0 || err != nil {
+			t.Errorf("exhausted source returned %d, %v", n, err)
 		}
 	})
 }

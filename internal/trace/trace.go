@@ -4,7 +4,7 @@
 // full-system simulator (internal/system).
 //
 // A trace is a sequence of Access records in program order. Traces can be
-// held in memory (Trace), streamed (Stream/Reader), and serialized with a
+// held in memory (Trace), streamed (TraceSource/Reader), and serialized with a
 // compact delta-encoded binary codec (Writer/Reader).
 package trace
 
@@ -97,55 +97,4 @@ func (t *Trace) Counts() (reads, writes, ifetches uint64) {
 		}
 	}
 	return
-}
-
-// Stream is an access iterator. Implementations return one access at a
-// time; ok is false when the stream is exhausted.
-type Stream interface {
-	Next() (a Access, ok bool)
-}
-
-// SliceStream adapts an in-memory access slice to a Stream.
-type SliceStream struct {
-	accesses []Access
-	pos      int
-}
-
-// NewSliceStream returns a Stream over the slice.
-func NewSliceStream(a []Access) *SliceStream { return &SliceStream{accesses: a} }
-
-// Next returns the next access.
-func (s *SliceStream) Next() (Access, bool) {
-	if s.pos >= len(s.accesses) {
-		return Access{}, false
-	}
-	a := s.accesses[s.pos]
-	s.pos++
-	return a, true
-}
-
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Collect drains a stream into a slice.
-func Collect(s Stream) []Access {
-	var out []Access
-	for {
-		a, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
-	}
-}
-
-// FilterKind returns the accesses of the given kind.
-func FilterKind(accesses []Access, k Kind) []Access {
-	var out []Access
-	for _, a := range accesses {
-		if a.Kind == k {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -65,40 +65,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	tr := sampleTrace()
-	s := NewSliceStream(tr.Accesses)
-	got := Collect(s)
-	if len(got) != len(tr.Accesses) {
-		t.Fatalf("Collect returned %d accesses, want %d", len(got), len(tr.Accesses))
-	}
-	for i := range got {
-		if got[i] != tr.Accesses[i] {
-			t.Errorf("access %d = %+v, want %+v", i, got[i], tr.Accesses[i])
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted stream returned ok")
-	}
-	s.Reset()
-	if a, ok := s.Next(); !ok || a != tr.Accesses[0] {
-		t.Error("Reset did not rewind")
-	}
-}
-
-func TestFilterKind(t *testing.T) {
-	tr := sampleTrace()
-	reads := FilterKind(tr.Accesses, Read)
-	if len(reads) != 2 {
-		t.Fatalf("FilterKind(Read) len = %d, want 2", len(reads))
-	}
-	for _, a := range reads {
-		if a.Kind != Read {
-			t.Errorf("filtered access has kind %v", a.Kind)
-		}
-	}
-}
-
 func TestCodecRoundTripSample(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
