@@ -4,23 +4,24 @@ package engine
 // map, so the design points a process has paid for survive restarts and
 // can be shipped between machines. The on-disk layout is content-
 // addressed by the engine's deterministic SHA-256 job key — one file per
-// design point, named <key>.llcres — and every file is self-describing:
-// a one-line JSON header (format name, version, key, payload checksum)
-// followed by the JSON-encoded system.Result. Loads verify the header
-// and the payload checksum; anything that does not verify is treated as
-// a miss (and quarantined by deletion), never as an error — a corrupt
-// cache degrades to re-simulation.
+// design point, named <key>.v<version>.llcres — and every file is
+// self-describing: a one-line JSON header (format name, version, key,
+// payload checksum) followed by the JSON-encoded system.Result. The
+// version in the name lets a boot index the directory from its listing
+// alone; loads verify the header and the payload checksum, and anything
+// that does not verify is treated as a miss (and quarantined by
+// deletion), never as an error — a corrupt cache degrades to
+// re-simulation.
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,20 +57,41 @@ type ProfileStore interface {
 	StoreProfile(key string, p *profile.Profile) error
 }
 
-// StoreFormatVersion is the on-disk entry format version. Bumping it
-// invalidates every existing entry: the boot sweep skips mismatched
-// files and Load treats them as misses, so old caches silently degrade
-// to re-simulation instead of decoding garbage. Bump whenever the
-// serialized form of system.Result changes incompatibly or the cache
-// key function changes what it hashes.
+// StoreFormatVersion is the on-disk entry format version, carried both
+// in each entry's header and in its file name. Bumping it invalidates
+// every existing entry: the next boot deletes the old names unread, so
+// old caches silently degrade to re-simulation instead of decoding
+// garbage. Bump whenever the serialized form of system.Result changes
+// incompatibly or the cache key function changes what it hashes.
 const StoreFormatVersion = 2
 
 // storeFormatName guards against feeding some other tool's files to the
 // decoder.
 const storeFormatName = "nvmllc-result-cache"
 
-// storeExt is the cache entry file suffix.
+// storeExt is the result tier's file suffix: every name ending in it is
+// the tier's to index or delete.
 const storeExt = ".llcres"
+
+// entrySuffix follows the key in a current entry's file name. Entries
+// written before the version joined the name are <key>.llcres, whatever
+// their header says; a boot deletes them like any other stale name.
+var entrySuffix = ".v" + strconv.Itoa(StoreFormatVersion) + storeExt
+
+// isKey reports whether s has the shape of an engine job key: 64
+// lower-case hex digits (a hex SHA-256), so it can never escape the
+// cache directory.
+func isKey(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // profileFormatName and profileStoreExt are the profile tier's
 // counterparts: profiles live beside results in the same directory,
@@ -93,10 +115,10 @@ type storeHeader struct {
 
 // DiskCacheStats counts store activity since OpenDiskCache.
 type DiskCacheStats struct {
-	// Entries is the number of valid entries indexed at boot plus stores
-	// since; Hits/Misses count Load outcomes; Corrupt counts entries that
-	// failed header or checksum verification (at boot or on load) and
-	// were discarded; Stores counts successful writes.
+	// Entries is the number of entries indexed at boot plus stores since;
+	// Hits/Misses count Load outcomes; Corrupt counts discarded files: at
+	// boot, result-tier names that are not a current entry's; on load,
+	// entries that failed verification. Stores counts successful writes.
 	Entries, Hits, Misses, Corrupt, Stores uint64
 }
 
@@ -115,32 +137,30 @@ type DiskCache struct {
 }
 
 // OpenDiskCache opens (creating if needed) the cache directory and
-// performs the warm-start sweep: every *.llcres file's header is read
-// and verified — format, version, key/filename agreement — and valid
-// entries are indexed, so a freshly booted process knows immediately
-// which design points it can serve without simulating. Invalid or
-// stale-version files are counted as corrupt and deleted, never fatal.
+// indexes it from one listing, opening no entry file: every
+// <key>.v<StoreFormatVersion>.llcres name is indexed, so a freshly booted
+// process knows immediately which design points it can serve without
+// simulating. Every other result-tier name — an older format's entry,
+// a .tmp-* write a crash left behind — is deleted unread and counted
+// corrupt, never fatal. Entries are verified when they are loaded.
 func OpenDiskCache(dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: open disk cache: %w", err)
 	}
-	c := &DiskCache{dir: dir, index: make(map[string]bool)}
-	entries, err := os.ReadDir(dir)
+	f, err := os.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("engine: open disk cache: %w", err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, storeExt) {
-			continue
-		}
-		key := strings.TrimSuffix(name, storeExt)
-		if c.verifyHeader(key) {
+	names, err := f.Readdirnames(-1)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("engine: open disk cache: %w", err)
+	}
+	c := &DiskCache{dir: dir, index: make(map[string]bool, len(names))}
+	for _, name := range names {
+		if key, ok := strings.CutSuffix(name, entrySuffix); ok && isKey(key) {
 			c.index[key] = true
-		} else {
-			// Quarantine, as Load does: a file that fails its header
-			// check (a stale format version, a torn header) will never
-			// load, so it is counted once and deleted.
+		} else if strings.HasSuffix(name, storeExt) {
 			_ = os.Remove(filepath.Join(dir, name))
 			c.corrupt.Add(1)
 		}
@@ -180,36 +200,13 @@ func (c *DiskCache) Stats() DiskCacheStats {
 	}
 }
 
-// path maps a key to its entry file; false for keys that could escape
-// the cache directory (engine keys are hex SHA-256 and always pass).
+// path maps a key to its entry file; false for anything but an engine
+// job key, the only names a boot indexes.
 func (c *DiskCache) path(key string) (string, bool) {
-	if key == "" || key != filepath.Base(key) || strings.ContainsAny(key, "/\\") || key == "." || key == ".." {
+	if !isKey(key) {
 		return "", false
 	}
-	return filepath.Join(c.dir, key+storeExt), true
-}
-
-// verifyHeader cheaply checks an entry file's header (no payload read):
-// used by the boot sweep.
-func (c *DiskCache) verifyHeader(key string) bool {
-	p, ok := c.path(key)
-	if !ok {
-		return false
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	line, err := bufio.NewReader(io.LimitReader(f, 4096)).ReadBytes('\n')
-	if err != nil {
-		return false
-	}
-	var h storeHeader
-	if json.Unmarshal(line, &h) != nil {
-		return false
-	}
-	return h.Format == storeFormatName && h.Version == StoreFormatVersion && h.Key == key && h.Bytes > 0
+	return filepath.Join(c.dir, key+entrySuffix), true
 }
 
 // Load reads, verifies and decodes the entry for key. Any failure —

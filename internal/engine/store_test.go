@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
+	"nvmllc/internal/workload"
 )
 
 // TestDiskCacheRoundTrip pins the basic store contract: a stored result
@@ -107,9 +109,10 @@ func TestDiskCacheCorruptionIsAMiss(t *testing.T) {
 }
 
 // TestDiskCacheVersionSkew: entries of another format version are
-// invisible — skipped (and counted corrupt) by the boot sweep and missed
-// by Load. Version 1 is the format whose keys were hashed from fmt
-// renderings of the job; a directory written by it must read as empty.
+// invisible to Load. A boot indexes by name alone, so a header of the
+// wrong version under a current name is indexed; its first Load misses,
+// counts it corrupt and deletes it. Version 1 is the format whose keys
+// were hashed from fmt renderings of the job.
 func TestDiskCacheVersionSkew(t *testing.T) {
 	for _, version := range []int{1, StoreFormatVersion + 1} {
 		dir := t.TempDir()
@@ -127,7 +130,7 @@ func TestDiskCacheVersionSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Rewrite the header with the other version.
-		p := filepath.Join(dir, key+storeExt)
+		p := filepath.Join(dir, key+entrySuffix)
 		raw, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -144,22 +147,29 @@ func TestDiskCacheVersionSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c2.Len() != 0 || c2.Stats().Corrupt != 1 {
-			t.Errorf("version %d: boot sweep indexed %d entries and counted %d corrupt, want 0 and 1", version, c2.Len(), c2.Stats().Corrupt)
+		if c2.Len() != 1 || c2.Stats().Corrupt != 0 {
+			t.Errorf("version %d: boot indexed %d entries and counted %d corrupt, want 1 and 0", version, c2.Len(), c2.Stats().Corrupt)
 		}
 		if _, ok := c2.Load(key); ok {
 			t.Errorf("version %d: stale-version entry loaded as a hit", version)
 		}
+		if s := c2.Stats(); s.Corrupt != 1 || s.Entries != 0 {
+			t.Errorf("version %d: after Load, stats = %+v, want 1 corrupt and 0 entries", version, s)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("version %d: stale-version entry not deleted (stat err %v)", version, err)
+		}
 	}
 }
 
-// TestDiskCacheBootDeletesStaleEntries: the boot sweep deletes a file
-// that fails its header check, so the first boot over a version-1 entry
-// counts it corrupt once and the next boot finds nothing to count.
+// TestDiskCacheBootDeletesStaleEntries: a boot deletes an entry under
+// the unversioned name <key>.llcres that format versions 1 and 2 used,
+// so the first boot over a version-1 entry counts it corrupt once and
+// the next boot finds nothing to count.
 func TestDiskCacheBootDeletesStaleEntries(t *testing.T) {
 	dir := t.TempDir()
 	key := strings.Repeat("ab", 32)
-	// A well-formed entry in every respect but its version.
+	// A well-formed version-1 entry, under the name version 1 wrote.
 	sum := sha256.Sum256([]byte("{}"))
 	entry := fmt.Sprintf(`{"format":%q,"version":1,"key":%q,"payload_sha256":%q,"payload_bytes":2}`+"\n{}",
 		storeFormatName, key, hex.EncodeToString(sum[:]))
@@ -178,6 +188,83 @@ func TestDiskCacheBootDeletesStaleEntries(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("boot %d: stale entry still present (stat err %v)", boot+1, err)
 		}
+	}
+}
+
+// TestDiskCacheBootSortsNames: a boot indexes current entry names,
+// deletes every other result-tier name (an unversioned entry, a .tmp-*
+// write left by a crash, a current suffix on something that is not a
+// key) and leaves the profile tier and unrelated files alone.
+func TestDiskCacheBootSortsNames(t *testing.T) {
+	dir := t.TempDir()
+	key := strings.Repeat("0f", 32)
+	keep := []string{
+		key + entrySuffix,
+		key + profileStoreExt,
+		".tmp-123" + profileStoreExt,
+		"README",
+		key + ".v2.json",
+	}
+	drop := []string{
+		key + storeExt,
+		".tmp-456" + storeExt,
+		strings.ToUpper(key) + entrySuffix,
+		"short" + entrySuffix,
+		key + ".v1" + storeExt,
+		key + ".v" + fmt.Sprint(StoreFormatVersion+1) + storeExt,
+	}
+	for _, name := range append(append([]string{}, keep...), drop...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := c.Keys(); len(keys) != 1 || keys[0] != key {
+		t.Errorf("boot indexed %v, want only %s", keys, key)
+	}
+	if got := c.Stats().Corrupt; got != uint64(len(drop)) {
+		t.Errorf("boot counted %d corrupt, want %d", got, len(drop))
+	}
+	for _, name := range keep {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("boot removed %s: %v", name, err)
+		}
+	}
+	for _, name := range drop {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("boot kept %s (stat err %v)", name, err)
+		}
+	}
+}
+
+// TestDiskCacheGarbageUnderCurrentName: a boot trusts a current name
+// without reading it, so garbage there is indexed (Len 1, Corrupt 0);
+// the first Load verifies it, misses, deletes it and counts it corrupt.
+func TestDiskCacheGarbageUnderCurrentName(t *testing.T) {
+	dir := t.TempDir()
+	key := strings.Repeat("c3", 32)
+	p := filepath.Join(dir, key+entrySuffix)
+	if err := os.WriteFile(p, []byte("not an entry\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); c.Len() != 1 || s.Corrupt != 0 {
+		t.Fatalf("boot: Len %d, stats %+v; want 1 indexed and 0 corrupt", c.Len(), s)
+	}
+	if _, ok := c.Load(key); ok {
+		t.Fatal("garbage entry loaded as a hit")
+	}
+	if s := c.Stats(); c.Len() != 0 || s.Corrupt != 1 || s.Misses != 1 {
+		t.Errorf("after Load: Len %d, stats %+v; want 0 indexed, 1 corrupt, 1 miss", c.Len(), s)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Errorf("garbage entry not deleted (stat err %v)", err)
 	}
 }
 
@@ -305,5 +392,42 @@ func TestEngineStoreTimelineUpgrade(t *testing.T) {
 	}
 	if s := e3.Stats(); s.Simulated != 0 || s.Cached != 1 {
 		t.Errorf("stats = %+v, want a pure disk hit", s)
+	}
+}
+
+// BenchmarkOpenDiskCache boots a directory of 1,197 stored entries, the
+// number perfbench's llcsimd workload leaves behind its cold phase. Each
+// entry holds the same small simulated result under its own key.
+func BenchmarkOpenDiskCache(b *testing.B) {
+	const entries = 1197
+	p, err := workload.ByName("bzip2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := New().Run(context.Background(), StreamJob(p, smallOpts(), system.Gainestown(reference.SRAMBaseline())))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	c, err := OpenDiskCache(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < entries; i++ {
+		sum := sha256.Sum256([]byte(fmt.Sprint("entry ", i)))
+		if err := c.Store(hex.EncodeToString(sum[:]), res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := OpenDiskCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c.Len() != entries {
+			b.Fatalf("boot indexed %d entries, want %d", c.Len(), entries)
+		}
 	}
 }

@@ -76,20 +76,24 @@ func (m *LLCModel) Validate() error {
 	if m.CapacityBytes <= 0 {
 		return fmt.Errorf("nvsim: %s: capacity %d must be positive", m.Name, m.CapacityBytes)
 	}
-	pos := map[string]float64{
-		"area":         m.AreaMM2,
-		"tag latency":  m.TagLatencyNS,
-		"read latency": m.ReadLatencyNS,
-		"write set":    m.WriteSetNS,
-		"write reset":  m.WriteResetNS,
-		"hit energy":   m.HitEnergyNJ,
-		"miss energy":  m.MissEnergyNJ,
-		"write energy": m.WriteEnergyNJ,
-		"leakage":      m.LeakageW,
-	}
-	for what, v := range pos {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("nvsim: %s: %s = %g, want positive finite", m.Name, what, v)
+	// Checked in struct order, so a model with several bad fields
+	// always reports the first.
+	for _, f := range [...]struct {
+		what string
+		v    float64
+	}{
+		{"area", m.AreaMM2},
+		{"tag latency", m.TagLatencyNS},
+		{"read latency", m.ReadLatencyNS},
+		{"write set", m.WriteSetNS},
+		{"write reset", m.WriteResetNS},
+		{"hit energy", m.HitEnergyNJ},
+		{"miss energy", m.MissEnergyNJ},
+		{"write energy", m.WriteEnergyNJ},
+		{"leakage", m.LeakageW},
+	} {
+		if f.v <= 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("nvsim: %s: %s = %g, want positive finite", m.Name, f.what, f.v)
 		}
 	}
 	if m.MissEnergyNJ > m.HitEnergyNJ {

@@ -254,6 +254,40 @@ func TestModelValidateCatchesMissBelowHit(t *testing.T) {
 	}
 }
 
+// TestModelValidateReportsFirstBadField: with the area and the leakage
+// both invalid, Validate reports the area, the earlier field, every
+// time.
+func TestModelValidateReportsFirstBadField(t *testing.T) {
+	m := LLCModel{
+		Name: "bad", CapacityBytes: 1 << 20, AreaMM2: -1,
+		TagLatencyNS: 1, ReadLatencyNS: 1, WriteSetNS: 1, WriteResetNS: 1,
+		HitEnergyNJ: 1, MissEnergyNJ: 0.5, WriteEnergyNJ: 1, LeakageW: math.NaN(),
+	}
+	for i := 0; i < 50; i++ {
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), "area") {
+			t.Fatalf("call %d: Validate = %v, want the area reported", i, err)
+		}
+	}
+}
+
+// TestModelValidateAllocatesNothing: validating a sound model allocates
+// nothing; system.Config.Validate calls it on every llcsimd admission.
+func TestModelValidateAllocatesNothing(t *testing.T) {
+	m := LLCModel{
+		Name: "ok", CapacityBytes: 1 << 20, AreaMM2: 1,
+		TagLatencyNS: 1, ReadLatencyNS: 1, WriteSetNS: 1, WriteResetNS: 1,
+		HitEnergyNJ: 1, MissEnergyNJ: 0.5, WriteEnergyNJ: 1, LeakageW: 1,
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestCapacityMB(t *testing.T) {
 	m := LLCModel{CapacityBytes: 3 << 20}
 	if m.CapacityMB() != 3 {

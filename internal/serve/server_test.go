@@ -490,33 +490,45 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestInvalidMachineRejectedAtAdmission: a spec whose compiled machine
-// fails system.Config.Validate (65 cores; the simulator allows 1..64)
-// answers 400 and counts as invalid; no job is admitted or simulated.
+// fails system.Config.Validate (65 cores; the simulator allows 1..64),
+// or whose resolved thread count the generator or the machine refuses
+// (65 threads, or 8 threads on the default 4 cores), answers 400 and
+// counts as invalid; no job is admitted or simulated. A single-threaded
+// workload resolves to 1 thread, so 8 threads on bzip2 is admitted.
 func TestInvalidMachineRejectedAtAdmission(t *testing.T) {
 	reg := telemetry.New()
 	eng := engine.New()
 	_, ts := newTestServer(t, Config{Registry: reg, Engine: eng})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workload":"bzip2","llc":"SRAM","cores":65}`))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ spec, want string }{
+		{`{"workload":"bzip2","llc":"SRAM","cores":65}`, "cores = 65"},
+		{`{"workload":"cg","llc":"SRAM","threads":65}`, "threads = 65"},
+		{`{"workload":"cg","llc":"SRAM","threads":8}`, "threads = 8 exceeds cores = 4"},
 	}
-	var body errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", c.spec, resp.StatusCode)
+		}
+		if !strings.Contains(body.Error, c.want) {
+			t.Errorf("%s: error %q does not contain %q", c.spec, body.Error, c.want)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("cores 65: HTTP %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body.Error, "cores = 65") {
-		t.Errorf("error %q does not name the invalid core count", body.Error)
-	}
-	if got := reg.Counter("serve_jobs_total", "outcome", "invalid").Value(); got != 1 {
-		t.Errorf("invalid count = %d, want 1", got)
+	if got := reg.Counter("serve_jobs_total", "outcome", "invalid").Value(); got != uint64(len(cases)) {
+		t.Errorf("invalid count = %d, want %d", got, len(cases))
 	}
 	if got := eng.Stats().Jobs(); got != 0 {
-		t.Errorf("engine ran %d jobs for a rejected spec", got)
+		t.Errorf("engine ran %d jobs for rejected specs", got)
+	}
+	if _, err := buildSimJob(JobSpec{Workload: "bzip2", LLC: "SRAM", Threads: 8}, 20000); err != nil {
+		t.Errorf("single-threaded bzip2 with threads 8 rejected: %v", err)
 	}
 }
 

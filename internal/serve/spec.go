@@ -92,8 +92,9 @@ func (s JobSpec) timeout(def time.Duration) time.Duration {
 // engine job (the trace is generated chunk-at-a-time per simulation, so
 // the server holds O(chunk) trace memory per worker, and cache hits skip
 // generation entirely). The compiled machine is checked with
-// system.Config.Validate, so a spec the simulator would refuse is
-// rejected at admission instead of failing in a worker.
+// system.Config.Validate, and the trace options are resolved as the
+// generator will resolve them, so a spec the generator or the simulator
+// would refuse is rejected at admission instead of failing in a worker.
 func buildSimJob(s JobSpec, defaultAccesses int) (engine.Job, error) {
 	var zero engine.Job
 	if s.Workload == "" {
@@ -151,8 +152,14 @@ func buildSimJob(s JobSpec, defaultAccesses int) (engine.Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return zero, fmt.Errorf("sim job: %w", err)
 	}
-	// StreamJob resolves the thread count and seed defaults (4 and 1).
-	opts := workload.Options{Accesses: accesses, Threads: s.Threads, Seed: s.Seed}
+	// Resolve applies the generator's thread and seed defaults (4 and
+	// 1); a single-threaded workload runs one thread whatever the spec
+	// asked for. Validate holds cores to 1..64, so this check also keeps
+	// the trace within the generator's 64-thread limit.
+	opts := profile.Resolve(workload.Options{Accesses: accesses, Threads: s.Threads, Seed: s.Seed})
+	if opts.Threads > cores {
+		return zero, fmt.Errorf("sim job: threads = %d exceeds cores = %d", opts.Threads, cores)
+	}
 	return engine.StreamJob(profile, opts, cfg), nil
 }
 

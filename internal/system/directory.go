@@ -8,6 +8,15 @@ package system
 // is timing/energy-only), so the directory's job is to reproduce the
 // coherence *traffic*: invalidations, remote writebacks, and the extra LLC
 // writes they cause on shared, write-shared workloads.
+//
+// Only a sole holder can hold a line dirty. A store makes its core the
+// line's only holder (invalidateOthers), and a load by any other core
+// cleans that copy before the loader joins the mask (downgradeOthers),
+// so a mask of two or more bits names only clean copies. A load miss
+// therefore scans a remote core's tag stores only when that core is the
+// line's one holder.
+
+import "math/bits"
 
 // DirectoryStats counts coherence events.
 type DirectoryStats struct {
@@ -50,20 +59,21 @@ func newDirectoryWith(t sharerTable, lines int) *directory {
 	return d
 }
 
-// noteFill records that core holds the line after a fill.
-func (d *directory) noteFill(line uint64, core int) {
-	d.sharers.orBit(line, 1<<uint(core))
-}
-
 // noteEvict clears core's sharer bit (called when a private cache drops
 // the line entirely).
 func (d *directory) noteEvict(line uint64, core int) {
 	d.sharers.clearBit(line, 1<<uint(core))
 }
 
-// othersHolding returns the sharer mask excluding the requesting core.
-func (d *directory) othersHolding(line uint64, core int) uint64 {
-	return d.sharers.get(line) &^ (1 << uint(core))
+// soleRemote returns the core that alone held the line before core's
+// load joined it. It reports false when the mask was empty, named only
+// core itself, or named two or more cores: then no remote copy can be
+// dirty and a downgrade has nothing to clean.
+func soleRemote(held uint64, core int) (int, bool) {
+	if held == 0 || held&(held-1) != 0 || held == 1<<uint(core) {
+		return 0, false
+	}
+	return bits.TrailingZeros64(held), true
 }
 
 // sharerEntry is one slot of the table: the line address and its sharer
@@ -129,8 +139,20 @@ func (t *sharerTable) get(line uint64) uint64 {
 	}
 }
 
-// orBit sets bit in the line's mask, inserting the entry if absent.
-func (t *sharerTable) orBit(line, bit uint64) {
+// fetchOr sets bit in the line's mask, inserting the entry if absent,
+// and returns the mask from before.
+func (t *sharerTable) fetchOr(line, bit uint64) uint64 {
+	return t.put(line, bit, false)
+}
+
+// swap replaces the line's mask with bit, inserting the entry if
+// absent, and returns the mask from before.
+func (t *sharerTable) swap(line, bit uint64) uint64 {
+	return t.put(line, bit, true)
+}
+
+// put is fetchOr (replace false) and swap (replace true) in one probe.
+func (t *sharerTable) put(line, bit uint64, replace bool) uint64 {
 	mask := uint64(len(t.entries) - 1)
 	for i := t.home(line); ; i = int((uint64(i) + 1) & mask) {
 		e := &t.entries[i]
@@ -140,11 +162,16 @@ func (t *sharerTable) orBit(line, bit uint64) {
 			if t.used++; 4*t.used >= 3*len(t.entries) {
 				t.grow()
 			}
-			return
+			return 0
 		}
 		if e.key == line {
-			e.mask |= bit
-			return
+			old := e.mask
+			if replace {
+				e.mask = bit
+			} else {
+				e.mask |= bit
+			}
+			return old
 		}
 	}
 }
@@ -212,19 +239,16 @@ func (t *sharerTable) grow() {
 	}
 }
 
-// invalidateOthers removes every other core's copy, returning how many
-// copies were dropped and how many were dirty (needing writeback).
+// invalidateOthers gives core exclusive ownership of the line for a
+// store: one probe makes core the line's only holder, then every other
+// core's copy is removed. It returns how many copies were dropped and
+// how many were dirty (needing writeback).
 func (s *simulator) invalidateOthers(line uint64, core int) (dropped, dirtyWb int) {
-	mask := s.dir.othersHolding(line, core)
-	if mask == 0 {
-		return 0, 0
-	}
-	for c := 0; mask != 0; c++ {
-		bit := uint64(1) << uint(c)
-		if mask&bit == 0 {
-			continue
-		}
-		mask &^= bit
+	bit := uint64(1) << uint(core)
+	mask := s.dir.sharers.swap(line, bit) &^ bit
+	for mask != 0 {
+		c := bits.TrailingZeros64(mask)
+		mask &= mask - 1
 		cs := s.cores[c]
 		anyDirty := false
 		if present, dirty := cs.l1d.Invalidate(line); present {
@@ -238,9 +262,7 @@ func (s *simulator) invalidateOthers(line uint64, core int) (dropped, dirtyWb in
 		if anyDirty {
 			dirtyWb++
 		}
-		s.dir.noteEvict(line, c)
 	}
-	s.dir.sharers.orBit(line, 1<<uint(core))
 	d := &s.dir.stats
 	d.Invalidations += uint64(dropped)
 	d.RemoteWritebacks += uint64(dirtyWb)

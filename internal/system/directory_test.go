@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"nvmllc/internal/cache"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/trace"
 )
@@ -154,26 +155,35 @@ func TestInclusionBackInvalidation(t *testing.T) {
 
 func TestDirectoryUnitOps(t *testing.T) {
 	d := newDirectoryWith(sharerTable{}, 16)
-	d.noteFill(7, 0)
-	d.noteFill(7, 2)
-	if d.othersHolding(7, 0) != 1<<2 {
-		t.Errorf("othersHolding = %b", d.othersHolding(7, 0))
+	if old := d.sharers.fetchOr(7, 1<<0); old != 0 {
+		t.Errorf("first fetchOr returned %b, want 0", old)
+	}
+	if old := d.sharers.fetchOr(7, 1<<2); old != 1<<0 {
+		t.Errorf("second fetchOr returned %b, want %b", old, 1<<0)
 	}
 	d.noteEvict(7, 2)
-	if d.othersHolding(7, 0) != 0 {
-		t.Error("evicted sharer still tracked")
+	if got := d.sharers.get(7); got != 1<<0 {
+		t.Errorf("after evicting core 2, mask = %b, want %b", got, 1<<0)
 	}
-	d.noteEvict(7, 0)
+	d.sharers.fetchOr(7, 1<<3)
+	if old := d.sharers.swap(7, 1<<1); old != 1<<0|1<<3 {
+		t.Errorf("swap returned %b, want %b", old, 1<<0|1<<3)
+	}
+	if got := d.sharers.get(7); got != 1<<1 {
+		t.Errorf("after swap, mask = %b, want %b", got, 1<<1)
+	}
+	d.noteEvict(7, 1)
 	if d.sharers.used != 0 {
 		t.Error("empty entry not reclaimed")
 	}
 }
 
 // TestSharerTableMatchesMap cross-checks the open-addressed sharer table
-// against a plain map under a long random op sequence: set bits, clear
-// bits (including on absent lines, a no-op), and lookups. Keys are drawn
-// from a small range so probe chains collide, grow triggers, and the
-// backward-shift deletion gets exercised across wrapped chains.
+// against a plain map under a long random op sequence: set bits, swap
+// masks, clear bits (including on absent lines, a no-op), and lookups.
+// Keys are drawn from a small range so probe chains collide, grow
+// triggers, and the backward-shift deletion gets exercised across
+// wrapped chains.
 func TestSharerTableMatchesMap(t *testing.T) {
 	var tab sharerTable
 	tab.init(8) // tiny, so growth and collisions happen immediately
@@ -188,10 +198,17 @@ func TestSharerTableMatchesMap(t *testing.T) {
 	for op := 0; op < 200000; op++ {
 		line := next(512)
 		bit := uint64(1) << next(64)
-		switch next(3) {
+		switch next(4) {
 		case 0:
-			tab.orBit(line, bit)
+			if got, want := tab.fetchOr(line, bit), ref[line]; got != want {
+				t.Fatalf("op %d: fetchOr(%d) returned %b, want %b", op, line, got, want)
+			}
 			ref[line] |= bit
+		case 3:
+			if got, want := tab.swap(line, bit), ref[line]; got != want {
+				t.Fatalf("op %d: swap(%d) returned %b, want %b", op, line, got, want)
+			}
+			ref[line] = bit
 		case 1:
 			tab.clearBit(line, bit)
 			if m := ref[line] &^ bit; m == 0 {
@@ -213,4 +230,66 @@ func TestSharerTableMatchesMap(t *testing.T) {
 			t.Fatalf("final: get(%d) = %b, want %b", line, got, want)
 		}
 	}
+}
+
+// TestSkippedDowngradesFindNoDirtyCopy is the property the one-holder
+// downgrade rests on: on random multi-threaded traces, at every load
+// miss whose downgrade is skipped (soleRemote reports false), a scan of
+// every other core's L1D and L2 finds no dirty copy of the line. The
+// scan is the Clean calls the downgrade would have made, so it changes
+// nothing while the property holds. Accesses are driven straight into
+// the hierarchy in trace order.
+func TestSkippedDowngradesFindNoDirtyCopy(t *testing.T) {
+	base := func(c *cache.Cache, line uint64) int32 {
+		mask, ways := c.Geometry()
+		return int32(line&mask) * int32(ways)
+	}
+	var misses, skipped int
+	for seed := int64(1); seed <= 8; seed++ {
+		threads := []int{2, 4, 8, 16}[seed%4]
+		footprint := []int{256, 2048}[seed%2] // inside the L1D, then the L2
+		tr := randomTrace(seed, 40000, threads, footprint)
+		sim, err := newSimulator([]Config{sramConfig().WithCores(threads)},
+			trace.Meta{Threads: threads, Accesses: int64(len(tr.Accesses))}, new(Scratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range tr.Accesses {
+			cs := sim.cores[a.Tid]
+			line := a.Addr >> sim.blockBits
+			l2b, llcb := base(cs.l2, line), base(sim.llc, line)
+			switch a.Kind {
+			case trace.Ifetch:
+				sim.ifetch(cs, line, base(cs.l1i, line), l2b, llcb)
+			case trace.Write:
+				sim.store(cs, line, base(cs.l1d, line), l2b, llcb)
+			case trace.Read:
+				if !cs.l1d.Probe(line) {
+					misses++
+					if _, ok := soleRemote(sim.dir.sharers.get(line), cs.idx); !ok {
+						skipped++
+						for c, other := range sim.cores {
+							if c == cs.idx {
+								continue
+							}
+							_, l1Dirty := other.l1d.Clean(line)
+							_, l2Dirty := other.l2.Clean(line)
+							if l1Dirty || l2Dirty {
+								t.Fatalf("seed %d, access %d: core %d loads line %#x skipping the downgrade, but core %d holds it dirty (L1D %v, L2 %v)",
+									seed, i, cs.idx, line, c, l1Dirty, l2Dirty)
+							}
+						}
+					}
+				}
+				sim.load(cs, line, base(cs.l1d, line), l2b, llcb)
+			}
+		}
+		if sim.dir.stats.InterventionStalls == 0 {
+			t.Errorf("seed %d: no load found a dirty remote copy; the traces exercise nothing", seed)
+		}
+	}
+	if skipped == 0 || skipped == misses {
+		t.Errorf("%d of %d load misses skipped the downgrade; want some of each", skipped, misses)
+	}
+	t.Logf("%d of %d load misses (%.1f%%) skipped the downgrade scan", skipped, misses, 100*float64(skipped)/float64(misses))
 }

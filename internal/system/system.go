@@ -712,7 +712,6 @@ func (s *simulator) load(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 	}
 	if s.dir != nil {
 		s.downgradeOthers(cs, line)
-		s.dir.noteFill(line, cs.idx)
 	}
 	s.fromL2(cs, line, true, l2b, llcb)
 }
@@ -733,7 +732,9 @@ func (s *simulator) ifetch(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 func (s *simulator) store(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 	if s.dir != nil {
 		// A store needs exclusive ownership: invalidate remote copies,
-		// flushing any dirty one through the LLC first.
+		// flushing any dirty one through the LLC first. The store's
+		// core is then the line's only holder, so its own fill below
+		// needs no directory update.
 		if _, dirtyWb := s.invalidateOthers(line, cs.idx); dirtyWb > 0 {
 			for i := 0; i < dirtyWb; i++ {
 				s.llcWrite(line)
@@ -745,37 +746,24 @@ func (s *simulator) store(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 	} else if ev.Valid && ev.Dirty {
 		s.l2Writeback(cs, ev.LineAddr)
 	}
-	if s.dir != nil {
-		s.dir.noteFill(line, cs.idx)
-	}
 	s.fromL2(cs, line, false, l2b, llcb)
 }
 
-// downgradeOthers handles a read to a line another core may hold dirty:
-// remote copies are cleaned (Modified -> Shared) and a dirty copy is
-// flushed through the LLC, with the reader paying an intervention
-// latency that advances its clock.
+// downgradeOthers handles a load miss: one probe records the reader as
+// a holder of the line and returns the holders from before. Only a sole
+// remote holder can hold the line dirty (see directory.go), so only its
+// copies are cleaned (Modified -> Shared); a dirty one is flushed
+// through the LLC, with the reader paying an intervention latency that
+// advances its clock.
 func (s *simulator) downgradeOthers(cs *coreState, line uint64) {
-	mask := s.dir.othersHolding(line, cs.idx)
-	if mask == 0 {
+	c, ok := soleRemote(s.dir.sharers.fetchOr(line, 1<<uint(cs.idx)), cs.idx)
+	if !ok {
 		return
 	}
-	flushed := false
-	for c := 0; mask != 0; c++ {
-		bit := uint64(1) << uint(c)
-		if mask&bit == 0 {
-			continue
-		}
-		mask &^= bit
-		other := s.cores[c]
-		if _, wasDirty := other.l1d.Clean(line); wasDirty {
-			flushed = true
-		}
-		if _, wasDirty := other.l2.Clean(line); wasDirty {
-			flushed = true
-		}
-	}
-	if !flushed {
+	other := s.cores[c]
+	_, l1Dirty := other.l1d.Clean(line)
+	_, l2Dirty := other.l2.Clean(line)
+	if !l1Dirty && !l2Dirty {
 		return
 	}
 	s.llcWrite(line)
