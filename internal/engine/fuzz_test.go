@@ -45,3 +45,37 @@ func FuzzDecodeRawEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeProfileEntry feeds arbitrary payloads to the profile tier's
+// decoder. The harness frames each payload with encodeEntry, so every
+// input passes the header and checksum checks and reaches json.Unmarshal
+// and Profile.Validate. Every accepted profile must answer HitsFor, at
+// each profiled set count and every associativity, with hits that never
+// decrease as ways grow and never exceed Demand. The seed corpus under
+// testdata/fuzz holds a valid entry and a histogram whose buckets wrap a
+// uint64 sum back onto Demand.
+func FuzzDecodeProfileEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		raw, err := encodeEntry(profileFormatName, fuzzKey, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := decodeProfileEntry(fuzzKey, raw)
+		if err != nil {
+			return
+		}
+		for _, lv := range prof.Levels {
+			var prev uint64
+			for w := 1; w <= prof.MaxWays; w++ {
+				hits, ok := prof.HitsFor(lv.Sets, w)
+				if !ok {
+					t.Fatalf("accepted profile cannot answer HitsFor(%d, %d)", lv.Sets, w)
+				}
+				if hits < prev || hits > prof.Demand {
+					t.Fatalf("HitsFor(%d, %d) = %d after %d at %d ways, demand %d", lv.Sets, w, hits, prev, w-1, prof.Demand)
+				}
+				prev = hits
+			}
+		}
+	})
+}

@@ -310,9 +310,9 @@ func (c *DiskCache) Store(key string, res *system.Result) error {
 	return nil
 }
 
-// writeEntry writes one header+payload entry atomically: temp file in
-// the cache directory, synced, renamed into place.
-func (c *DiskCache) writeEntry(path, format, key string, payload []byte) error {
+// encodeEntry frames a payload as an entry: a header line naming its
+// format, version and key, with the payload's length and SHA-256.
+func encodeEntry(format, key string, payload []byte) ([]byte, error) {
 	sum := sha256.Sum256(payload)
 	header, err := json.Marshal(storeHeader{
 		Format:  format,
@@ -322,6 +322,16 @@ func (c *DiskCache) writeEntry(path, format, key string, payload []byte) error {
 		Bytes:   int64(len(payload)),
 	})
 	if err != nil {
+		return nil, err
+	}
+	return append(append(header, '\n'), payload...), nil
+}
+
+// writeEntry writes one header+payload entry atomically: temp file in
+// the cache directory, synced, renamed into place.
+func (c *DiskCache) writeEntry(path, format, key string, payload []byte) error {
+	entry, err := encodeEntry(format, key, payload)
+	if err != nil {
 		return fmt.Errorf("engine: disk cache: encode header %s: %w", key, err)
 	}
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*"+filepath.Ext(path))
@@ -329,7 +339,7 @@ func (c *DiskCache) writeEntry(path, format, key string, payload []byte) error {
 		return fmt.Errorf("engine: disk cache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := tmp.Write(append(append(header, '\n'), payload...))
+	_, werr := tmp.Write(entry)
 	if werr == nil {
 		werr = tmp.Sync()
 	}

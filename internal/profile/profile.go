@@ -185,12 +185,17 @@ func (p *Profile) Validate() error {
 		if len(lv.Hist) != p.MaxWays+1 {
 			return fmt.Errorf("profile %s: level %d histogram has %d buckets, want %d", p.Name, i, len(lv.Hist), p.MaxWays+1)
 		}
-		var sum uint64
+		// Count down from Demand rather than summing up to it, so no
+		// bucket can wrap a uint64 total back onto Demand.
+		left := p.Demand
 		for _, h := range lv.Hist {
-			sum += h
+			if h > left {
+				return fmt.Errorf("profile %s: level %d histogram classifies more than %d accesses", p.Name, i, p.Demand)
+			}
+			left -= h
 		}
-		if sum+lv.Cold != p.Demand {
-			return fmt.Errorf("profile %s: level %d classifies %d accesses, want %d", p.Name, i, sum+lv.Cold, p.Demand)
+		if lv.Cold != left {
+			return fmt.Errorf("profile %s: level %d counts %d cold misses, want the %d accesses its histogram leaves", p.Name, i, lv.Cold, left)
 		}
 	}
 	p.finalize()

@@ -221,6 +221,33 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestProfileValidateRejects checks that a decoded profile whose levels
+// do not classify exactly Demand accesses is rejected, including
+// buckets large enough to wrap a uint64 sum back onto Demand: two 2^63
+// buckets plus 5 sum to 5 modulo 2^64, and HitsFor(1, 1) would answer
+// 2^63 hits out of 5 accesses.
+func TestProfileValidateRejects(t *testing.T) {
+	mk := func(hist []uint64, cold uint64) *Profile {
+		return &Profile{Name: "p", BlockBytes: 64, MaxWays: 2, Demand: 5,
+			Levels: []Level{{Sets: 1, Hist: hist, Cold: cold}}}
+	}
+	cases := map[string]*Profile{
+		"wrapped histogram": mk([]uint64{1 << 63, 1 << 63, 5}, 0),
+		"wrapped cold":      mk([]uint64{1, 1, 1}, 1<<64-1),
+		"too many":          mk([]uint64{2, 2, 2}, 0),
+		"too few":           mk([]uint64{1, 1, 1}, 1),
+	}
+	for name, p := range cases {
+		if err := p.Validate(); err == nil {
+			hits, _ := p.HitsFor(1, 1)
+			t.Errorf("%s: Validate accepted %+v (HitsFor(1, 1) = %d of %d)", name, p.Levels[0], hits, p.Demand)
+		}
+	}
+	if err := mk([]uint64{1, 1, 1}, 2).Validate(); err != nil {
+		t.Errorf("Validate rejected a consistent profile: %v", err)
+	}
+}
+
 // TestRunFiltered checks the filtered pass's bookkeeping: stream totals
 // add up, upstream stats are populated, and the filter is deterministic
 // across scratch reuse.

@@ -20,8 +20,7 @@ import (
 // laneBuf holds the pre-decoded SoA lanes for a run of accesses: the
 // line address, the set base per cache level (the L1 lane is resolved by
 // kind — instruction fetches decode against the L1I, everything else
-// against the L1D), and the access kind. Each access costs
-// laneBytesPerAccess bytes of lane storage.
+// against the L1D), and the access kind.
 type laneBuf struct {
 	line []uint64
 	l1   []int32
@@ -29,10 +28,6 @@ type laneBuf struct {
 	llc  []int32
 	kind []trace.Kind
 }
-
-// laneBytesPerAccess is the lane storage per decoded access (8 + 4 + 4 +
-// 4 + 1), the figure the peak-footprint accounting uses.
-const laneBytesPerAccess = 21
 
 // ensure grows the lanes to hold n accesses, reusing prior capacity.
 func (b *laneBuf) ensure(n int) {
@@ -119,24 +114,4 @@ func (cs *coreState) clearLanes() {
 	cs.llcb = nil
 	cs.kind = nil
 	cs.pos = 0
-}
-
-// traceAccessBytes is the size of one trace.Access (the raw chunk
-// storage unit) for the peak-footprint accounting.
-const traceAccessBytes = 16
-
-// StreamingPeakBytes estimates the peak resident trace-buffer footprint
-// of a streaming run: ringSlots chunk buffers each holding the raw
-// accesses plus their decoded lanes — O(chunk × ring), independent of
-// trace length.
-func StreamingPeakBytes(chunkAccesses, ringSlots int) int64 {
-	return int64(ringSlots) * int64(chunkAccesses) * (traceAccessBytes + laneBytesPerAccess)
-}
-
-// StreamedTracePeakBytes estimates the peak resident trace-buffer
-// footprint of streaming an already-materialized trace: the trace stays
-// resident, and only the ring's O(chunk × ring) window exists alongside
-// it.
-func StreamedTracePeakBytes(accesses int64, chunkAccesses, ringSlots int) int64 {
-	return accesses*traceAccessBytes + StreamingPeakBytes(chunkAccesses, ringSlots)
 }

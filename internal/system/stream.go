@@ -5,7 +5,7 @@ package system
 // trace in a trace.TraceSource), holding O(chunk × ring) access
 // memory regardless of trace length, and overlaps generation AND
 // pre-decode of upcoming chunks with simulation of the current one
-// through an N-slot ring (default DefaultRingSlots) cycled between a
+// through an N-slot ring (default defaultRingSlots) cycled between a
 // producer goroutine and the consumer over free/out channels.
 //
 // The producer does everything that used to sit on the consumer's
@@ -54,19 +54,19 @@ import (
 	"nvmllc/internal/trace"
 )
 
-// DefaultChunkAccesses is the streaming chunk size (accesses per
+// defaultChunkAccesses is the streaming chunk size (accesses per
 // ReadChunk): large enough to amortize the channel handoff to well under
 // a nanosecond per access, small enough that the ring stays around a
 // megabyte.
-const DefaultChunkAccesses = 8192
+const defaultChunkAccesses = 8192
 
-// DefaultRingSlots is the streaming ring depth: enough slots that the
+// defaultRingSlots is the streaming ring depth: enough slots that the
 // producer's generate+decode of upcoming chunks overlaps the consumer's
 // simulation without either side stalling on the other's jitter. A
 // deliberate constant rather than a Config field — Config participates
 // in the engine's result-cache key, and ring depth must never change a
 // result.
-const DefaultRingSlots = 4
+const defaultRingSlots = 4
 
 // RunStream simulates a chunked trace source on the configured machine.
 // The source is consumed exactly once, sequentially, from a single
@@ -96,7 +96,7 @@ func RunStreamWith(ctx context.Context, cfg Config, src trace.ChunkSource, scrat
 // order follows the clocks, which differ per config) and configs that
 // are all Groupable and share cfgs[0]'s machine (Config.SameMachine).
 func RunStreamGroup(ctx context.Context, cfgs []Config, src trace.ChunkSource, scratch *Scratch) ([]*Result, error) {
-	res, _, err := runStreamChunked(ctx, cfgs, src, scratch, DefaultChunkAccesses, DefaultRingSlots)
+	res, _, err := runStreamChunked(ctx, cfgs, src, scratch, defaultChunkAccesses, defaultRingSlots)
 	return res, err
 }
 

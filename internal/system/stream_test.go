@@ -92,8 +92,8 @@ func TestStreamMatchesWholeTrace(t *testing.T) {
 	for name, mkCfg := range machineVariants(t) {
 		for _, threads := range []int{1, 2, 8} {
 			cfg := mkCfg(threads)
-			for _, chunk := range []int{64, 1000, DefaultChunkAccesses} {
-				for _, slots := range []int{2, DefaultRingSlots, 8} {
+			for _, chunk := range []int{64, 1000, defaultChunkAccesses} {
+				for _, slots := range []int{2, defaultRingSlots, 8} {
 					gen, err := workload.NewGenerator(prof, variantOpts(threads))
 					if err != nil {
 						t.Fatal(err)

@@ -163,11 +163,12 @@ func (c Config) Validate() error {
 	// Check every level's geometry here, not first inside a simulation:
 	// the hybrid LLC sizes its own partitions (newHybridLLC).
 	llc, l1i, l1d, l2 := c.levels()
-	levels := []cache.Config{l1i, l1d, l2}
-	if c.Hybrid == nil {
-		levels = append(levels, llc)
+	levels := [...]cache.Config{l1i, l1d, l2, llc}
+	n := len(levels)
+	if c.Hybrid != nil {
+		n-- // skip the LLC
 	}
-	for _, level := range levels {
+	for _, level := range levels[:n] {
 		if err := level.Validate(); err != nil {
 			return err
 		}
@@ -692,7 +693,8 @@ func (s *simulator) step(cs *coreState) {
 		// After the access's events so an epoch boundary includes them.
 		// One nil check is the entire disabled cost, and the boundary
 		// test is hand-inlined so the enabled cost is an add and a
-		// compare per access (both bench-pinned; see BENCH_hotloop.json).
+		// compare per access; perfbench's system.sampling_overhead_pct
+		// measures the enabled cost.
 		es.instr += n
 		if es.instr >= es.next {
 			es.boundary(s)

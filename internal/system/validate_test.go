@@ -60,6 +60,31 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
+// TestConfigValidateAllocs pins Config.Validate at zero allocations on
+// an accepted machine: llcsimd validates every admitted job spec.
+func TestConfigValidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	kang, err := reference.ModelByName(reference.FixedCapacityModels(), "Kang_P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := Gainestown(kang)
+	faulty.Fault = fault.Config{Options: fault.Options{Class: kang.Class}}
+	hybrid := Gainestown(kang)
+	hybrid.Hybrid = &HybridConfig{SRAM: reference.SRAMBaseline(), NVM: kang, SRAMWays: 4}
+	for name, cfg := range map[string]Config{"paper machine": Gainestown(kang), "faults": faulty, "hybrid": hybrid} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Validate allocates %.1f times per call, want 0", name, n)
+		}
+	}
+}
+
 // nopMemory stands in for an external main memory, which replaces the
 // DRAM model and so exempts Config.DRAM from validation.
 type nopMemory struct{}
