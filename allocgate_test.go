@@ -19,11 +19,12 @@ import (
 )
 
 // streamingAllocBudget is the allocations per run of the generator-fed
-// 64-core streaming configuration (BenchmarkHotLoop_Streaming) when the
-// gate was set. The ring's allocations are O(ring depth), so the figure
-// is fixed per run; the limits below add slack for runtime jitter. A
-// change that lowers it for good should lower the budget with it.
-const streamingAllocBudget = 359
+// 64-core streaming configuration (BenchmarkHotLoop_Streaming), as the
+// baseline leg measures it (295 on a 2-CPU linux/amd64 host, Go 1.24).
+// The ring's allocations are O(ring depth), so the figure is fixed per
+// run; the limits below add slack for runtime jitter. A change that
+// lowers it for good should lower the budget with it.
+const streamingAllocBudget = 295
 
 func TestStreamingAllocGate(t *testing.T) {
 	const budget = streamingAllocBudget

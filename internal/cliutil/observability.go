@@ -306,7 +306,6 @@ func (o *Observability) Close(runErr error) error {
 			s := o.engStats()
 			end.Engine = &telemetry.ManifestEngine{
 				Simulated:   s.Simulated,
-				Upgraded:    s.Upgraded,
 				Cached:      s.Cached,
 				Failed:      s.Failed,
 				TraceGens:   s.TraceGens,

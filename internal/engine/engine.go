@@ -94,17 +94,14 @@ func (j Job) LLCName() string {
 // Stats is a snapshot of the engine's counters.
 type Stats struct {
 	// Simulated counts fresh simulations actually executed; Cached counts
-	// jobs answered from the result cache (the in-memory map or, when a
+	// jobs answered from the result cache (the in-memory memo or, when a
 	// CacheStore is installed, the persistent tier); Failed counts
 	// simulations that returned an error (including cancellation).
 	Simulated, Cached, Failed uint64
-	// Upgraded counts timeline upgrades: a sampled job that found a
-	// cached timeline-less result and re-simulated to enrich it. The
-	// re-simulation is real work (its accesses and wall time are
-	// counted), but it answers the same submission the cache hit would
-	// have, so it is kept out of Simulated — one submitted job increments
-	// exactly one of the four outcome counters, and Stats.Jobs() equals
-	// submissions.
+	// Upgraded is always zero. A job with a timeline keys apart from the
+	// same job without one, so no cached result is ever re-simulated to
+	// gain a timeline; the field stays only because the benchmark
+	// harness (perfbench) still sums it.
 	Upgraded uint64
 	// Accesses is the total trace accesses simulated, per job (cache hits
 	// excluded): a pass answering K jobs adds K times its trace length.
@@ -122,7 +119,7 @@ type Stats struct {
 	// traces hold right now, in use or retained for later jobs.
 	TraceRetainedBytes int64
 	// Passes counts simulation passes: functional walks of a trace, each
-	// answering one or more simulated or upgraded jobs (RunAll groups
+	// answering one or more simulated jobs (RunAll groups
 	// single-threaded design points that differ only in timing). SimWallNS
 	// counts each pass once, so SimWallNS/Accesses falls as passes answer
 	// more jobs.
@@ -140,19 +137,16 @@ type Stats struct {
 	Features, FeatureHits uint64
 }
 
-// Jobs is the total design points answered: simulated, upgraded, cached
-// or failed — exactly one increment per submission.
-func (s Stats) Jobs() uint64 { return s.Simulated + s.Upgraded + s.Cached + s.Failed }
+// Jobs is the total design points answered: simulated, cached or failed
+// — exactly one increment per submission.
+func (s Stats) Jobs() uint64 { return s.Simulated + s.Cached + s.Failed }
 
 // String renders a one-line progress summary.
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d simulated, %d cached, %d failed, %.2fM accesses, %.1fs sim wall",
 		s.Simulated, s.Cached, s.Failed, float64(s.Accesses)/1e6,
 		time.Duration(s.SimWallNS).Seconds())
-	if s.Upgraded > 0 {
-		out = fmt.Sprintf("%s, %d upgraded", out, s.Upgraded)
-	}
-	if s.Passes > 0 && s.Passes < s.Simulated+s.Upgraded+s.Failed {
+	if s.Passes > 0 && s.Passes < s.Simulated+s.Failed {
 		out = fmt.Sprintf("%s, %d passes", out, s.Passes)
 	}
 	if s.TraceGens+s.TraceShared > 0 {
@@ -179,11 +173,6 @@ type Event struct {
 	Key string
 	// Cached marks a cache hit (WallNS is then zero).
 	Cached bool
-	// Upgraded marks a timeline upgrade: the design point had a cached
-	// timeline-less result and was re-simulated with sampling on. At most
-	// one of Cached and Upgraded is set, and an upgrade emits exactly one
-	// event (kind "upgrade", not a second "simulate").
-	Upgraded bool
 	// Err is the job's failure, nil on success.
 	Err error
 	// Result is the design point's outcome (nil on failure). Manifest
@@ -224,31 +213,14 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(e *Engine) { e.reg = reg }
 }
 
-// WithTimeline installs a default time-resolved sampling config on every
-// job that does not carry its own, so a whole sweep gains epoch-sampled
-// Results without touching each job builder. Like WithTelemetry this is
-// propagation only — the cache key already excludes Config.Timeline.
-func WithTimeline(tc system.TimelineConfig) Option {
-	return func(e *Engine) { e.timeline = &tc }
-}
-
 // WithStore installs a persistent second cache tier behind the in-memory
-// result map: an in-memory miss consults the store before simulating,
-// and every successful simulation (upgrades included) is written back,
-// so results survive process restarts and can be shipped between
-// machines. Store hits count as Cached. Store failures never fail a job
-// — a corrupt or unreadable entry degrades to re-simulation.
+// result memo: an in-memory miss consults the store before simulating,
+// and every successful simulation is written back, so results survive
+// process restarts and can be shipped between machines. Store hits count
+// as Cached. Store failures never fail a job — a corrupt or unreadable
+// entry degrades to re-simulation.
 func WithStore(s CacheStore) Option {
 	return func(e *Engine) { e.store = s }
-}
-
-// entry is one cache slot; done closes when the computing goroutine
-// finishes, so concurrent requests for the same key wait instead of
-// duplicating the simulation.
-type entry struct {
-	done chan struct{}
-	res  *system.Result
-	err  error
 }
 
 // Engine executes simulation jobs with caching, bounded parallelism and
@@ -258,17 +230,15 @@ type Engine struct {
 	cacheOff    bool
 	progress    func(Event)
 	reg         *telemetry.Registry
-	timeline    *system.TimelineConfig
 	store       CacheStore
 	shareOff    bool
 	shareLimit  int64
 
-	mu      sync.Mutex
-	results map[string]*entry
-
-	// profiles memoizes reuse-distance profiles (profilejob.go) and
-	// features memoizes PRISM features (featurejob.go): singleflight
-	// domains of their own, apart from simulation results.
+	// results memoizes simulation results by Key, profiles memoizes
+	// reuse-distance profiles (profilejob.go) and features memoizes PRISM
+	// features (featurejob.go): three singleflight domains that can never
+	// answer each other.
+	results  memo[string, *system.Result]
 	profiles memo[string, *profile.Profile]
 	features memo[featureKey, prism.Features]
 
@@ -289,7 +259,6 @@ type Engine struct {
 	scratch chan *system.Scratch
 
 	simulated   atomic.Uint64
-	upgraded    atomic.Uint64
 	cached      atomic.Uint64
 	failed      atomic.Uint64
 	accesses    atomic.Uint64
@@ -306,7 +275,6 @@ type Engine struct {
 // New creates an engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		results:    make(map[string]*entry),
 		shares:     make(map[traceID]*shareEntry),
 		shareLimit: defaultTraceShareLimit,
 	}
@@ -329,7 +297,6 @@ func (e *Engine) Workers() int {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Simulated:   e.simulated.Load(),
-		Upgraded:    e.upgraded.Load(),
 		Cached:      e.cached.Load(),
 		Failed:      e.failed.Load(),
 		Accesses:    e.accesses.Load(),
@@ -364,125 +331,65 @@ func (e *Engine) run(ctx context.Context, j Job, key string, cacheable bool) (*s
 		return nil, err
 	}
 	if e.cacheOff || !cacheable {
-		res, err := e.simulate(ctx, []Job{j}, []string{""}, false)
+		res, err := e.simulate(ctx, []Job{j}, []string{""})
 		return res[0], err
 	}
-	// A job that wants a timeline cannot be answered by a cached result
-	// simulated without one (the key excludes Config.Timeline, so both
-	// kinds share an entry). Such a hit retires the stale entry and
-	// re-simulates; the richer result re-caches and answers either kind.
-	wantTimeline := j.Config.Timeline != nil || e.timeline != nil
-	upgrade := false
-	for {
-		ent, claimed := e.claim(key)
-		if claimed {
-			// Consult the persistent tier before simulating. An upgrade
-			// skips it: the stored result is the very timeline-less one
-			// being retired.
-			if !upgrade {
-				if res, hit := e.fromStore(j, key, ent, wantTimeline); hit {
-					return res, nil
-				}
-			}
-			res, err := e.simulate(ctx, []Job{j}, []string{key}, upgrade)
-			e.settle(key, ent, res[0], err)
-			return ent.res, ent.err
+	res, hit, err := e.results.do(ctx, key, func() (*system.Result, error) {
+		// Consult the persistent tier before simulating.
+		if res, hit := e.fromStore(j, key); hit {
+			return res, nil
 		}
-		select {
-		case <-ent.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		res, err := e.simulate(ctx, []Job{j}, []string{key})
+		if err == nil {
+			e.persist(key, res[0])
 		}
-		if ent.err != nil {
-			// The computing goroutine failed and removed the entry;
-			// propagate its error (a later Run will retry fresh).
-			return nil, ent.err
-		}
-		if wantTimeline && ent.res.Timeline == nil {
-			// Upgrade: drop the timeline-less entry (only if it is still
-			// the one we waited on — a concurrent upgrade may have already
-			// replaced it) and loop to simulate with sampling on. The
-			// re-simulation is accounted as Upgraded, not Simulated: one
-			// submission, one outcome.
-			e.mu.Lock()
-			if cur, ok := e.results[key]; ok && cur == ent {
-				delete(e.results, key)
-			}
-			e.mu.Unlock()
-			upgrade = true
-			continue
-		}
+		return res[0], err
+	})
+	if hit {
 		e.cached.Add(1)
 		e.reg.Counter("engine_jobs_total", "outcome", "cached").Inc()
-		e.emit(j, key, ent.res, true, false, nil, 0)
-		return ent.res, nil
+		e.emit(j, key, res, true, nil, 0)
 	}
+	return res, err
 }
 
-// claim returns key's cache entry and whether this call created it; the
-// creator must compute the result and settle the entry, everyone else
-// waits on its done channel.
-func (e *Engine) claim(key string) (*entry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ent, ok := e.results[key]; ok {
-		return ent, false
-	}
-	ent := &entry{done: make(chan struct{})}
-	e.results[key] = ent
-	return ent, true
-}
-
-// fromStore answers a claimed entry from the persistent tier when it
-// holds a usable result, counting and reporting the hit.
-func (e *Engine) fromStore(j Job, key string, ent *entry, wantTimeline bool) (*system.Result, bool) {
+// fromStore answers a claimed key from the persistent tier when it holds
+// the result, counting and reporting the hit.
+func (e *Engine) fromStore(j Job, key string) (*system.Result, bool) {
 	if e.store == nil {
 		return nil, false
 	}
-	if res, hit := e.store.Load(key); hit && (!wantTimeline || res.Timeline != nil) {
-		ent.res = res
-		close(ent.done)
+	if res, hit := e.store.Load(key); hit {
 		e.cached.Add(1)
 		e.reg.Counter("engine_jobs_total", "outcome", "cached").Inc()
 		e.reg.Counter("engine_store_total", "outcome", "hit").Inc()
-		e.emit(j, key, res, true, false, nil, 0)
+		e.emit(j, key, res, true, nil, 0)
 		return res, true
 	}
 	e.reg.Counter("engine_store_total", "outcome", "miss").Inc()
 	return nil, false
 }
 
-// settle records a claimed entry's outcome and releases its waiters.
-func (e *Engine) settle(key string, ent *entry, res *system.Result, err error) {
-	ent.res, ent.err = res, err
-	if err != nil {
-		// Do not cache failures (typically cancellations): the next run
-		// must be able to retry.
-		e.mu.Lock()
-		delete(e.results, key)
-		e.mu.Unlock()
-	} else if e.store != nil {
-		// Persist best-effort; an unwritable store never fails the job.
-		// Upgrades overwrite the stale timeline-less entry.
-		if serr := e.store.Store(key, res); serr != nil {
-			e.reg.Counter("engine_store_total", "outcome", "write_error").Inc()
-		} else {
-			e.reg.Counter("engine_store_total", "outcome", "write").Inc()
-		}
+// persist writes a simulated result to the persistent tier, best-effort:
+// an unwritable store never fails the job.
+func (e *Engine) persist(key string, res *system.Result) {
+	if e.store == nil {
+		return
 	}
-	close(ent.done)
+	if err := e.store.Store(key, res); err != nil {
+		e.reg.Counter("engine_store_total", "outcome", "write_error").Inc()
+	} else {
+		e.reg.Counter("engine_store_total", "outcome", "write").Inc()
+	}
 }
 
 // simulate runs one simulation pass answering every job of js (keys
 // aligned, "" for uncacheable jobs) and updates the counters: each job
 // counts, reports and emits as its own design point, with the pass's wall
 // time as its own. A pass of several jobs is one functional walk of
-// their shared trace (system.RunStreamGroup); RunAll forms those. upgrade
-// marks a timeline-upgrade re-simulation, which counts toward
-// Stats.Upgraded instead of Stats.Simulated and emits an "upgrade" event
-// rather than a second "simulate" for the same key. The returned slice
-// is aligned with js; the error is the pass's.
-func (e *Engine) simulate(ctx context.Context, js []Job, keys []string, upgrade bool) ([]*system.Result, error) {
+// their shared trace (system.RunStreamGroup); RunAll forms those. The
+// returned slice is aligned with js; the error is the pass's.
+func (e *Engine) simulate(ctx context.Context, js []Job, keys []string) ([]*system.Result, error) {
 	cfgs := make([]system.Config, len(js))
 	for k, j := range js {
 		cfg := j.Config
@@ -493,21 +400,11 @@ func (e *Engine) simulate(ctx context.Context, js []Job, keys []string, upgrade 
 			// unchanged.
 			cfg.Telemetry = e.reg
 		}
-		if e.timeline != nil && cfg.Timeline == nil {
-			// Same propagation for the engine-wide sampling default;
-			// copied so a job can never alias the engine's config.
-			tc := *e.timeline
-			cfg.Timeline = &tc
-		}
 		cfgs[k] = cfg
-	}
-	spanName := "simulate"
-	if upgrade {
-		spanName = "upgrade"
 	}
 	spans := make([]*telemetry.Span, len(js))
 	for k, j := range js {
-		spans[k] = e.reg.StartSpan(spanName, telemetry.SpanFromContext(ctx))
+		spans[k] = e.reg.StartSpan("simulate", telemetry.SpanFromContext(ctx))
 		spans[k].SetAttr("workload", j.Workload)
 		spans[k].SetAttr("llc", j.LLCName())
 	}
@@ -529,22 +426,13 @@ func (e *Engine) simulate(ctx context.Context, js []Job, keys []string, upgrade 
 			e.reg.Counter("engine_jobs_total", "outcome", "failed").Inc()
 			spans[k].SetAttr("error", err.Error())
 		} else {
-			// An upgrade is real simulation work (accesses and wall time
-			// count) but answers the same submission a cache hit would
-			// have, so it lands in the Upgraded counter and Jobs() stays
-			// equal to submissions.
-			if upgrade {
-				e.upgraded.Add(1)
-				e.reg.Counter("engine_jobs_total", "outcome", "upgraded").Inc()
-			} else {
-				e.simulated.Add(1)
-				e.reg.Counter("engine_jobs_total", "outcome", "simulated").Inc()
-			}
+			e.simulated.Add(1)
+			e.reg.Counter("engine_jobs_total", "outcome", "simulated").Inc()
 			e.accesses.Add(accesses)
 			e.reg.Histogram("engine_job_llc_hits").Observe(float64(res[k].LLC.Hits))
 		}
 		spans[k].End()
-		e.emit(j, keys[k], res[k], false, upgrade, err, wall)
+		e.emit(j, keys[k], res[k], false, err, wall)
 	}
 	return res, err
 }
@@ -591,7 +479,7 @@ func (e *Engine) putScratch(sc *system.Scratch) {
 	}
 }
 
-func (e *Engine) emit(j Job, key string, res *system.Result, cachedHit, upgraded bool, err error, wallNS int64) {
+func (e *Engine) emit(j Job, key string, res *system.Result, cachedHit bool, err error, wallNS int64) {
 	if e.progress == nil {
 		return
 	}
@@ -600,7 +488,6 @@ func (e *Engine) emit(j Job, key string, res *system.Result, cachedHit, upgraded
 		LLC:      j.LLCName(),
 		Key:      key,
 		Cached:   cachedHit,
-		Upgraded: upgraded,
 		Err:      err,
 		Result:   res,
 		WallNS:   wallNS,
@@ -683,16 +570,14 @@ func (e *Engine) pool(ctx context.Context, items int, run func(n int), skip func
 // for unshareable jobs). Groupable jobs over the same trace and machine
 // (system.Config.SameMachine) form one unit; every other job is a unit
 // of its own. A job is groupable when it is cacheable (so its key vouches
-// for its trace), its resolved trace is single-threaded, and neither it
-// nor the engine asks for a timeline or any other system.Config.Groupable
-// exclusion.
+// for its trace), its resolved trace is single-threaded, and it asks for
+// no timeline or any other system.Config.Groupable exclusion.
 func (e *Engine) batchPasses(jobs []Job, traces []traceID) [][]int {
 	var units [][]int
 	byTrace := make(map[traceID][]int) // share key → its group units
 	for i, j := range jobs {
 		sk := traces[i]
-		if sk == (traceID{}) || e.cacheOff || e.timeline != nil ||
-			j.TraceOpts.Threads != 1 || !j.Config.Groupable() {
+		if sk == (traceID{}) || e.cacheOff || j.TraceOpts.Threads != 1 || !j.Config.Groupable() {
 			units = append(units, []int{i})
 			continue
 		}
@@ -713,23 +598,24 @@ func (e *Engine) batchPasses(jobs []Job, traces []traceID) [][]int {
 }
 
 // runPass answers a unit of groupable jobs. Each job claims its own
-// cache entry, as Run would: those already cached, in flight or in the
+// result slot, as Run would: those already cached, in flight or in the
 // persistent store are answered that way, and the rest simulate together
-// in one pass. Duplicates within the unit wait on the first's entry.
+// in one pass. Duplicates within the unit wait on the first's slot.
 func (e *Engine) runPass(ctx context.Context, jobs []Job, unit []int, results []*system.Result, errs []error) {
 	var members, later []int
 	var pass []Job
 	var keys, laterKeys []string
-	var ents []*entry
+	var ents []*memoEntry[*system.Result]
 	for _, i := range unit {
 		key, _ := Key(jobs[i])
-		ent, claimed := e.claim(key)
+		ent, claimed := e.results.claim(key)
 		if !claimed {
 			later = append(later, i)
 			laterKeys = append(laterKeys, key)
 			continue
 		}
-		if res, hit := e.fromStore(jobs[i], key, ent, false); hit {
+		if res, hit := e.fromStore(jobs[i], key); hit {
+			e.results.settle(key, ent, res, nil)
 			results[i] = res
 			continue
 		}
@@ -739,9 +625,12 @@ func (e *Engine) runPass(ctx context.Context, jobs []Job, unit []int, results []
 		ents = append(ents, ent)
 	}
 	if len(pass) > 0 {
-		res, err := e.simulate(ctx, pass, keys, false)
+		res, err := e.simulate(ctx, pass, keys)
 		for k, i := range members {
-			e.settle(keys[k], ents[k], res[k], err)
+			if err == nil {
+				e.persist(keys[k], res[k])
+			}
+			e.results.settle(keys[k], ents[k], res[k], err)
 			results[i], errs[i] = res[k], err
 		}
 	}

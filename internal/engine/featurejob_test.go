@@ -55,13 +55,17 @@ func TestCharacterizeMatchesWholeTrace(t *testing.T) {
 	for _, tc := range []struct {
 		label    string
 		opts     []Option
+		limit    int64 // the share budget in bytes; 0 keeps the default
 		wantGens uint64
 	}{
-		{"shared", nil, uint64(len(names))},
-		{"over budget", []Option{WithTraceShareLimit(1024)}, 0},
-		{"sharing off", []Option{WithoutTraceSharing()}, 0},
+		{"shared", nil, 0, uint64(len(names))},
+		{"over budget", nil, 1024, 0},
+		{"sharing off", []Option{WithoutTraceSharing()}, 0, 0},
 	} {
 		e := New(append(tc.opts, WithParallelism(2))...)
+		if tc.limit != 0 {
+			e.shareLimit = tc.limit
+		}
 		got, err := e.Characterize(context.Background(), testFeatureJobs(t, opts, names...))
 		if err != nil {
 			t.Fatal(err)

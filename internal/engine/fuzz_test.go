@@ -49,11 +49,12 @@ func FuzzDecodeRawEntry(f *testing.F) {
 // FuzzDecodeProfileEntry feeds arbitrary payloads to the profile tier's
 // decoder. The harness frames each payload with encodeEntry, so every
 // input passes the header and checksum checks and reaches json.Unmarshal
-// and Profile.Validate. Every accepted profile must answer HitsFor, at
-// each profiled set count and every associativity, with hits that never
-// decrease as ways grow and never exceed Demand. The seed corpus under
-// testdata/fuzz holds a valid entry and a histogram whose buckets wrap a
-// uint64 sum back onto Demand.
+// and Profile.Validate. Every accepted profile must profile each set
+// count once and answer HitsFor, at each profiled set count and every
+// associativity, with hits that never decrease as ways grow and never
+// exceed Demand. The seed corpus under testdata/fuzz holds a valid
+// entry, a histogram whose buckets wrap a uint64 sum back onto Demand and
+// two levels with one set count.
 func FuzzDecodeProfileEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		raw, err := encodeEntry(profileFormatName, fuzzKey, payload)
@@ -64,7 +65,12 @@ func FuzzDecodeProfileEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
+		seen := make(map[int]bool, len(prof.Levels))
 		for _, lv := range prof.Levels {
+			if seen[lv.Sets] {
+				t.Fatalf("accepted profile repeats set count %d", lv.Sets)
+			}
+			seen[lv.Sets] = true
 			var prev uint64
 			for w := 1; w <= prof.MaxWays; w++ {
 				hits, ok := prof.HitsFor(lv.Sets, w)

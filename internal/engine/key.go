@@ -26,9 +26,10 @@ const keyBufBytes = 1024
 // spellings of one trace share a key — and every system.Config field
 // that shapes the result (core model, cache geometry, LLC model,
 // policies, DRAM parameters; the hybrid configuration is hashed by value
-// when present). Two jobs with equal keys are guaranteed to simulate
-// identically, because trace generation and the simulator are both
-// deterministic in those inputs.
+// when present), plus the resolved timeline config when the job asks for
+// one. Two jobs with equal keys are guaranteed to simulate identically,
+// because trace generation and the simulator are both deterministic in
+// those inputs.
 //
 // The fields are written in a fixed order as fixed-width little-endian
 // integers, IEEE-754 bit patterns and length-prefixed strings, so the
@@ -51,11 +52,14 @@ func Key(j Job) (string, bool) {
 	return string(out[:]), true
 }
 
-// appendJobKey encodes the job's key inputs. Config.Telemetry and
-// Config.Timeline are observation only and never part of the result
-// identity: sampling never alters simulation behavior, so a sampled and
-// an unsampled job share one key (Run upgrades a cached timeline-less
-// result on demand). Config.Memory makes a job uncacheable (Key).
+// appendJobKey encodes the job's key inputs. Config.Telemetry is
+// observation only and never part of the result identity. Config.Timeline
+// never alters simulation behavior either, but it shapes Result.Timeline
+// and Result.WearHeatmap, so a job with a timeline is a design point of
+// its own: its resolved config is encoded last. A job without one
+// encodes nothing for it, so the keys that name stored timeline-less
+// entries stay valid (TestKeyStableWithoutTimeline). Config.Memory makes
+// a job uncacheable (Key).
 func appendJobKey(b []byte, j Job) []byte {
 	b = appendString(b, j.Workload)
 	b = appendOptions(b, j.TraceOpts)
@@ -80,7 +84,8 @@ func appendJobKey(b []byte, j Job) []byte {
 	b = appendInt(b, int64(c.LLCPolicy))
 	b = appendInt(b, int64(c.LLCBypass))
 	b = appendBool(b, c.DisableCoherence)
-	return appendHybrid(b, c.Hybrid)
+	b = appendHybrid(b, c.Hybrid)
+	return appendTimeline(b, c.Timeline)
 }
 
 func appendOptions(b []byte, o workload.Options) []byte {
@@ -141,6 +146,22 @@ func appendHybrid(b []byte, h *system.HybridConfig) []byte {
 	b = appendLLC(b, &h.NVM)
 	b = appendInt(b, int64(h.SRAMWays))
 	return appendInt(b, int64(h.MigrationThreshold))
+}
+
+// appendTimeline writes a presence byte and the timeline config with its
+// point budget resolved, so Points 0 and Points DefaultTimelinePoints
+// share a key; a nil config writes nothing.
+func appendTimeline(b []byte, t *system.TimelineConfig) []byte {
+	if t == nil {
+		return b
+	}
+	points := t.Points
+	if points == 0 {
+		points = system.DefaultTimelinePoints
+	}
+	b = append(b, 1)
+	b = appendUint(b, t.EpochInstructions)
+	return appendInt(b, int64(points))
 }
 
 func appendInt(b []byte, v int64) []byte { return appendUint(b, uint64(v)) }

@@ -17,9 +17,18 @@ import (
 	"nvmllc/internal/workload"
 )
 
-// keyJob is a cacheable job with a hybrid LLC, so a walk of its key
-// inputs reaches the hybrid configuration's fields too.
+// keyJob is a cacheable job with a hybrid LLC and a timeline, so a walk
+// of its key inputs reaches the hybrid and timeline configurations'
+// fields too.
 func keyJob(t *testing.T) Job {
+	t.Helper()
+	j := hybridJob(t)
+	j.Config.Timeline = &system.TimelineConfig{EpochInstructions: 1000, Points: 8}
+	return j
+}
+
+// hybridJob is keyJob without the timeline.
+func hybridJob(t *testing.T) Job {
 	t.Helper()
 	j := testJob(t, "bzip2", smallOpts())
 	j.Config.Hybrid = &system.HybridConfig{
@@ -30,11 +39,30 @@ func keyJob(t *testing.T) Job {
 	return j
 }
 
+// TestKeyStableWithoutTimeline pins the keys of two timeline-less jobs
+// to fixed hex values, so stored .v2.llcres entries and llcsimd disk
+// caches keep hitting. A change that moves them must bump
+// StoreFormatVersion too.
+func TestKeyStableWithoutTimeline(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"paper machine", testJob(t, "bzip2", smallOpts()), "5c47da7b5ae64d14a1d0d5d9ee29006f04bf360ee99ee91238afe79905bd8c2c"},
+		{"hybrid", hybridJob(t), "7cefe05432cbd29250b6feb1c74f575ddb374e7a4033de082cad6821a963dfd0"},
+	} {
+		if got := mustKey(t, tc.job); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestKeyCoversEveryField walks Job's key inputs — the workload, its
 // trace options and every system.Config field, through nested structs
-// and the hybrid pointee — perturbs each leaf field and requires the key
-// to change. The observation-only Telemetry and Timeline must leave the
-// key equal, and an external Memory must make the job uncacheable. A
+// and the hybrid and timeline pointees — perturbs each leaf field and
+// requires the key to change. The observation-only Telemetry must leave
+// the key equal, and an external Memory must make the job uncacheable. A
 // field the walk cannot perturb (a new slice, map, interface or func)
 // fails the test, so no input can slip past the encoder unnoticed.
 func TestKeyCoversEveryField(t *testing.T) {
@@ -99,7 +127,7 @@ func TestKeyCoversEveryField(t *testing.T) {
 			k := k
 			cf := ct.Field(k)
 			switch cf.Name {
-			case "Telemetry", "Timeline", "Memory":
+			case "Telemetry", "Memory":
 				continue // checked below
 			}
 			walk("Config."+cf.Name, cf.Type, func(j *Job) reflect.Value { return job(j).Field(i).Field(k) })
@@ -109,7 +137,7 @@ func TestKeyCoversEveryField(t *testing.T) {
 		reflect.TypeOf(workload.Options{}), reflect.TypeOf(system.Config{}),
 		reflect.TypeOf(cpu.Params{}), reflect.TypeOf(nvsim.LLCModel{}),
 		reflect.TypeOf(dram.Config{}), reflect.TypeOf(fault.Config{}),
-		reflect.TypeOf(system.HybridConfig{}),
+		reflect.TypeOf(system.HybridConfig{}), reflect.TypeOf(system.TimelineConfig{}),
 	} {
 		if !seen[typ] {
 			t.Errorf("the walk never reached %s", typ)
@@ -123,10 +151,14 @@ func TestKeyCoversEveryField(t *testing.T) {
 		t.Error("dropping the hybrid LLC left the key unchanged")
 	}
 	j = keyJob(t)
+	j.Config.Timeline = nil
+	if mustKey(t, j) == base {
+		t.Error("dropping the timeline left the key unchanged")
+	}
+	j = keyJob(t)
 	j.Config.Telemetry = telemetry.New()
-	j.Config.Timeline = &system.TimelineConfig{EpochInstructions: 1000, Points: 8}
 	if mustKey(t, j) != base {
-		t.Error("Telemetry and Timeline changed the key; they are observation only")
+		t.Error("Telemetry changed the key; it is observation only")
 	}
 	j = keyJob(t)
 	j.Config.Memory = fakeMemory{}

@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// memo is an in-memory singleflight map, the memory tier of the profile
-// and feature caches: the first call for a key computes its value,
-// concurrent calls for the same key wait for that computation (or their
-// own context), and later calls read the settled value. A failure is
-// never kept, so the next call for its key computes afresh. The zero
+// memo is an in-memory singleflight map, the memory tier of the result,
+// profile and feature caches: the first call for a key computes its
+// value, concurrent calls for the same key wait for that computation (or
+// their own context), and later calls read the settled value. A failure
+// is never kept, so the next call for its key computes afresh. The zero
 // value is ready to use.
 type memo[K comparable, V any] struct {
 	mu sync.Mutex
@@ -28,9 +28,8 @@ type memoEntry[V any] struct {
 // call's computation. A cancelled ctx ends a wait with ctx.Err(); it
 // never stops a computation in flight.
 func (m *memo[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (val V, hit bool, err error) {
-	m.mu.Lock()
-	if ent, ok := m.m[key]; ok {
-		m.mu.Unlock()
+	ent, claimed := m.claim(key)
+	if !claimed {
 		select {
 		case <-ent.done:
 			return ent.val, ent.err == nil, ent.err
@@ -38,19 +37,37 @@ func (m *memo[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (
 			return val, false, ctx.Err()
 		}
 	}
+	val, err = compute()
+	m.settle(key, ent, val, err)
+	return val, false, err
+}
+
+// claim returns key's slot and whether this call created it. The
+// creator must compute the value and settle the slot; every other caller
+// waits on it.
+func (m *memo[K, V]) claim(key K) (*memoEntry[V], bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ent, ok := m.m[key]; ok {
+		return ent, false
+	}
 	if m.m == nil {
 		m.m = make(map[K]*memoEntry[V])
 	}
 	ent := &memoEntry[V]{done: make(chan struct{})}
 	m.m[key] = ent
-	m.mu.Unlock()
+	return ent, true
+}
 
-	ent.val, ent.err = compute()
-	if ent.err != nil {
+// settle records a claimed slot's outcome and releases its waiters. A
+// failed slot leaves the map, so the next claim for its key computes
+// afresh.
+func (m *memo[K, V]) settle(key K, ent *memoEntry[V], val V, err error) {
+	ent.val, ent.err = val, err
+	if err != nil {
 		m.mu.Lock()
 		delete(m.m, key)
 		m.mu.Unlock()
 	}
 	close(ent.done)
-	return ent.val, false, ent.err
 }

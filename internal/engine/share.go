@@ -22,7 +22,7 @@ package engine
 // artifact's profile after its exact batch — revives it instead of
 // regenerating.
 // Every materialized trace counts against one byte budget
-// (WithTraceShareLimit). Before a trace is materialized, retained
+// (defaultTraceShareLimit). Before a trace is materialized, retained
 // entries are evicted least recently used first until it fits, and the
 // first evicted buffer large enough is reused for it; the others go to
 // the garbage collector. Referenced entries are never evicted, so a
@@ -42,24 +42,18 @@ import (
 // shareBytesPerAccess sizes a share against the limit (one trace.Access).
 const shareBytesPerAccess = 16
 
-// defaultTraceShareLimit is the default budget for materialized traces:
-// it holds every distinct trace of an llcsimd session at 100k accesses
-// (60 traces, about 85 MiB) with room to spare.
+// defaultTraceShareLimit is the budget, in bytes, for all materialized
+// traces the sharing layer holds, in use or retained (Engine.shareLimit;
+// 0 or less removes the bound). It holds every distinct trace of an
+// llcsimd session at 100k accesses (60 traces, about 85 MiB) with room
+// to spare. A trace larger than the budget is not materialized: its jobs
+// stream directly from their own sources and keep O(chunk) memory.
 const defaultTraceShareLimit = 128 << 20
 
 // WithoutTraceSharing disables cross-job trace memoization: every
 // streamed job drives its own source, as before.
 func WithoutTraceSharing() Option {
 	return func(e *Engine) { e.shareOff = true }
-}
-
-// WithTraceShareLimit sets the budget, in bytes, for all materialized
-// traces the sharing layer holds, in use or retained (default 128 MiB;
-// 0 or less removes the bound). A trace larger than the budget is not
-// materialized: its jobs stream directly from their own sources and
-// keep O(chunk) memory.
-func WithTraceShareLimit(bytes int64) Option {
-	return func(e *Engine) { e.shareLimit = bytes }
 }
 
 // shareEntry is one memoized trace. refs counts live holds (running

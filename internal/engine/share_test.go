@@ -111,7 +111,8 @@ func TestTraceSharingShareLimit(t *testing.T) {
 	var gens atomic.Uint64
 	jobs := sweepJobs(t, 4, &gens)
 	// 20000 accesses × 16 B = 320 kB; a 1 kB limit forces pass-through.
-	e := New(WithTraceShareLimit(1024))
+	e := New()
+	e.shareLimit = 1024
 	got, err := e.RunAll(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +237,8 @@ func heldKeys(t *testing.T, e *Engine) map[traceID]bool {
 func TestTraceRetentionEvictsLRU(t *testing.T) {
 	ctx := context.Background()
 	traceBytes := int64(jobAccesses(t, retentionJob(t, 1, 0))) * shareBytesPerAccess
-	e := New(WithTraceShareLimit(2 * traceBytes))
+	e := New()
+	e.shareLimit = 2 * traceBytes
 	key := func(seed int64) traceID {
 		k, _ := shareKey(retentionJob(t, seed, 0))
 		return k
@@ -317,7 +319,8 @@ func TestTraceRetentionConcurrent(t *testing.T) {
 		}
 	}
 
-	e := New(WithoutCache(), WithTraceShareLimit(3*traceBytes), WithParallelism(4))
+	e := New(WithoutCache(), WithParallelism(4))
+	e.shareLimit = 3 * traceBytes
 	p, err := workload.ByName("ft")
 	if err != nil {
 		t.Fatal(err)

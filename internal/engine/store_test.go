@@ -345,9 +345,10 @@ func TestEngineStoreWarmRestart(t *testing.T) {
 }
 
 // TestEngineStoreTimelineUpgrade: a persisted timeline-less result does
-// not satisfy a sampled job — the engine re-simulates and overwrites the
-// stored entry with the enriched one, which then serves sampled jobs
-// across a restart.
+// not answer a sampled job, which keys apart and simulates as its own
+// design point. Nothing is upgraded in place: the sampled result is
+// stored beside the plain one, and after a restart each answers its own
+// kind of job from disk.
 func TestEngineStoreTimelineUpgrade(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenDiskCache(dir)
@@ -371,13 +372,13 @@ func TestEngineStoreTimelineUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Timeline == nil {
-		t.Fatal("sampled job served a persisted timeline-less result without re-simulating")
+		t.Fatal("sampled job served a persisted timeline-less result")
 	}
 	if s := e2.Stats(); s.Simulated != 1 || s.Cached != 0 {
-		t.Errorf("stats = %+v, want 1 simulated (stored entry unusable for sampling)", s)
+		t.Errorf("stats = %+v, want 1 simulated (the sampled job is its own design point)", s)
 	}
 
-	// The overwritten entry now answers sampled jobs from disk.
+	// Both entries now answer their own kind of job from disk.
 	store3, err := OpenDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -388,10 +389,17 @@ func TestEngineStoreTimelineUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r3.Timeline == nil {
-		t.Error("persisted upgraded entry lost its timeline")
+		t.Error("persisted sampled entry lost its timeline")
 	}
-	if s := e3.Stats(); s.Simulated != 0 || s.Cached != 1 {
-		t.Errorf("stats = %+v, want a pure disk hit", s)
+	r4, err := e3.Run(context.Background(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r4.Timeline != nil {
+		t.Error("plain job was answered by the sampled entry")
+	}
+	if s := e3.Stats(); s.Simulated != 0 || s.Cached != 2 {
+		t.Errorf("stats = %+v, want two pure disk hits", s)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"sync"
 	"testing"
 
 	"nvmllc/internal/system"
@@ -21,130 +20,97 @@ func timelineJob(t *testing.T, name string, opts workload.Options) Job {
 	return j
 }
 
-// TestKeyExcludesTimeline pins the cache-identity rule: sampling and
-// telemetry are observation-only, so the same job keys alike with and
-// without a Timeline or a Telemetry registry.
-func TestKeyExcludesTimeline(t *testing.T) {
+// TestKeyTimelineRules pins the cache identity of sampled jobs: a
+// timeline job keys apart from the same job without one, two point
+// budgets key apart, the default budget keys alike however it is
+// spelled, and a Telemetry registry never changes the key.
+func TestKeyTimelineRules(t *testing.T) {
 	plain := testJob(t, "bzip2", smallOpts())
-	sampled := plain
-	sampled.Config.Timeline = &system.TimelineConfig{Points: 64}
+	with := func(tc *system.TimelineConfig) string {
+		j := plain
+		j.Config.Timeline = tc
+		return mustKey(t, j)
+	}
+	kp := mustKey(t, plain)
+	k8 := with(&system.TimelineConfig{Points: 8})
+	k64 := with(&system.TimelineConfig{Points: 64})
+	if kp == k8 || kp == k64 {
+		t.Error("a timeline job keys like the same job without one")
+	}
+	if k8 == k64 {
+		t.Error("point budgets 8 and 64 share a key")
+	}
+	if with(&system.TimelineConfig{}) != with(&system.TimelineConfig{Points: system.DefaultTimelinePoints}) {
+		t.Error("{} and {Points: DefaultTimelinePoints} key apart; both resolve to the default budget")
+	}
 	observed := plain
 	observed.Config.Telemetry = telemetry.New()
-	kp, ok1 := Key(plain)
-	ks, ok2 := Key(sampled)
-	ko, ok3 := Key(observed)
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatal("jobs unexpectedly uncacheable")
-	}
-	if kp != ks {
-		t.Errorf("timeline config changed the cache key:\nplain:   %s\nsampled: %s", kp, ks)
-	}
-	if kp != ko {
-		t.Errorf("telemetry registry changed the cache key:\nplain:    %s\nobserved: %s", kp, ko)
+	if mustKey(t, observed) != kp {
+		t.Error("a telemetry registry changed the key")
 	}
 }
 
-// TestRunUpgradesCachedResultForTimeline exercises the cache-upgrade
-// loop: a timeline-less cached entry is re-simulated when a later job
-// asks for sampling, and the richer result replaces it. The upgrade
-// must be accounted as Upgraded — not a second Simulated — so
-// Stats.Jobs() stays equal to submissions.
-func TestRunUpgradesCachedResultForTimeline(t *testing.T) {
-	var events []Event
-	var mu sync.Mutex
-	e := New(WithProgress(func(ev Event) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}))
+// TestTimelinePointBudgetsKeyApart: a job asking for 8 timeline points
+// after the same job ran with 64 gets its own 8-point timeline, whether
+// the 64-point result sits in the engine's memory or in a DiskCache, and
+// a timeline-less job is never answered by either.
+func TestTimelinePointBudgetsKeyApart(t *testing.T) {
 	plain := testJob(t, "bzip2", smallOpts())
-	r1, err := e.Run(context.Background(), plain)
-	if err != nil {
-		t.Fatal(err)
+	sampled := func(points int) Job {
+		j := plain
+		j.Config.Timeline = &system.TimelineConfig{Points: points}
+		return j
 	}
-	if r1.Timeline != nil {
-		t.Fatal("unsampled run produced a timeline")
-	}
-
-	sampled := plain
-	sampled.Config.Timeline = &system.TimelineConfig{Points: 16}
-	r2, err := e.Run(context.Background(), sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Timeline == nil {
-		t.Fatal("sampled job hit the timeline-less cache entry without upgrading")
-	}
-	if s := e.Stats(); s.Simulated != 1 || s.Upgraded != 1 || s.Cached != 0 {
-		t.Errorf("stats = %+v, want 1 simulated + 1 upgraded (the upgrade must not double-count Simulated)", s)
-	}
-	if s := e.Stats(); s.Jobs() != 2 {
-		t.Errorf("Jobs() = %d, want 2 (one per submission)", s.Jobs())
-	}
-	// Exactly one plain simulate event and one upgrade event for the key
-	// — not two simulate events.
-	var sims, upgrades int
-	for _, ev := range events {
+	check := func(t *testing.T, e *Engine, j Job, maxPoints int) {
+		t.Helper()
+		r, err := e.Run(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		switch {
-		case ev.Upgraded:
-			upgrades++
-		case !ev.Cached:
-			sims++
+		case maxPoints == 0 && r.Timeline != nil:
+			t.Errorf("timeline-less job got a %d-epoch timeline", r.Timeline.Len())
+		case maxPoints > 0 && r.Timeline == nil:
+			t.Errorf("%d-point job got no timeline", maxPoints)
+		case maxPoints > 0 && (r.Timeline.Len() > maxPoints || r.Timeline.Len() <= maxPoints/8):
+			t.Errorf("%d-point job got %d epochs", maxPoints, r.Timeline.Len())
 		}
 	}
-	if sims != 1 || upgrades != 1 {
-		t.Errorf("events: %d simulate + %d upgrade, want 1 + 1", sims, upgrades)
-	}
 
-	// The upgraded entry now serves both shapes from cache.
-	r3, err := e.Run(context.Background(), sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 != r2 {
-		t.Error("second sampled run missed the upgraded cache entry")
-	}
-	r4, err := e.Run(context.Background(), plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4 != r2 {
-		t.Error("plain run after the upgrade should share the enriched entry")
-	}
-	if s := e.Stats(); s.Cached != 2 {
-		t.Errorf("stats = %+v, want 2 cached after the upgrade", e.Stats())
-	}
-}
+	t.Run("memory", func(t *testing.T) {
+		e := New()
+		check(t, e, sampled(64), 64)
+		check(t, e, sampled(8), 8)
+		check(t, e, plain, 0)
+		check(t, e, sampled(64), 64)
+		if s := e.Stats(); s.Simulated != 3 || s.Cached != 1 || s.Jobs() != 4 {
+			t.Errorf("stats = %+v, want 3 simulated and 1 cached", s)
+		}
+	})
 
-// TestWithTimelineAppliesToAllJobs checks the engine-level default: an
-// engine built WithTimeline samples every job, without mutating caller
-// configs, and per-job configs still win.
-func TestWithTimelineAppliesToAllJobs(t *testing.T) {
-	e := New(WithTimeline(system.TimelineConfig{Points: 8}))
-	j := testJob(t, "bzip2", smallOpts())
-	r, err := e.Run(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Timeline == nil {
-		t.Fatal("WithTimeline engine returned no timeline")
-	}
-	if n := r.Timeline.Len(); n == 0 || n > 8 {
-		t.Errorf("engine default produced %d points, want 1..8", n)
-	}
-	if j.Config.Timeline != nil {
-		t.Error("engine mutated the caller's job config")
-	}
-
-	// A job-level config overrides the engine default.
-	j2 := timelineJob(t, "bzip2", workload.Options{Accesses: 20000, Seed: 9})
-	r2, err := e.Run(context.Background(), j2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r2.Timeline.Len(); n == 0 || n > 16 {
-		t.Errorf("job-level config produced %d points, want 1..16 (job wins over engine default)", n)
-	}
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		open := func() *Engine {
+			store, err := OpenDiskCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return New(WithStore(store))
+		}
+		check(t, open(), sampled(64), 64)
+		e := open()
+		check(t, e, sampled(8), 8)
+		check(t, e, plain, 0)
+		if s := e.Stats(); s.Simulated != 2 || s.Cached != 0 {
+			t.Errorf("after a restart: stats = %+v, want 2 simulated, none from the 64-point entry", s)
+		}
+		e = open()
+		check(t, e, sampled(64), 64)
+		check(t, e, sampled(8), 8)
+		if s := e.Stats(); s.Simulated != 0 || s.Cached != 2 {
+			t.Errorf("second restart: stats = %+v, want both budgets from disk", s)
+		}
+	})
 }
 
 // TestTimelineDeterministicAcrossEngineParallelism requires byte-identical

@@ -182,6 +182,11 @@ func (p *Profile) Validate() error {
 		if lv.Sets <= 0 || lv.Sets&(lv.Sets-1) != 0 {
 			return fmt.Errorf("profile %s: level %d set count %d must be a positive power of two", p.Name, i, lv.Sets)
 		}
+		// level answers from the first level with a set count, so a
+		// repeat would never be read.
+		if p.level(lv.Sets) != lv {
+			return fmt.Errorf("profile %s: level %d repeats set count %d", p.Name, i, lv.Sets)
+		}
 		if len(lv.Hist) != p.MaxWays+1 {
 			return fmt.Errorf("profile %s: level %d histogram has %d buckets, want %d", p.Name, i, len(lv.Hist), p.MaxWays+1)
 		}

@@ -225,7 +225,9 @@ func TestConfigValidate(t *testing.T) {
 // do not classify exactly Demand accesses is rejected, including
 // buckets large enough to wrap a uint64 sum back onto Demand: two 2^63
 // buckets plus 5 sum to 5 modulo 2^64, and HitsFor(1, 1) would answer
-// 2^63 hits out of 5 accesses.
+// 2^63 hits out of 5 accesses. A level repeating an earlier set count is
+// rejected too: lookups answer from the first, so the repeat is never
+// read.
 func TestProfileValidateRejects(t *testing.T) {
 	mk := func(hist []uint64, cold uint64) *Profile {
 		return &Profile{Name: "p", BlockBytes: 64, MaxWays: 2, Demand: 5,
@@ -236,6 +238,8 @@ func TestProfileValidateRejects(t *testing.T) {
 		"wrapped cold":      mk([]uint64{1, 1, 1}, 1<<64-1),
 		"too many":          mk([]uint64{2, 2, 2}, 0),
 		"too few":           mk([]uint64{1, 1, 1}, 1),
+		"repeated sets": {Name: "p", BlockBytes: 64, MaxWays: 2, Demand: 5,
+			Levels: []Level{{Sets: 1, Hist: []uint64{1, 1, 1}, Cold: 2}, {Sets: 1, Hist: []uint64{5, 0, 0}, Cold: 0}}},
 	}
 	for name, p := range cases {
 		if err := p.Validate(); err == nil {

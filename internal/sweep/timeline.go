@@ -57,9 +57,10 @@ type TimelineStudy struct {
 }
 
 // Timeline runs the study through the engine: wear-tracked, epoch-
-// sampled jobs, one per LLC. The cache key excludes sampling, and the
-// engine upgrades any cached timeline-less results, so the study
-// composes with prior sweeps on a shared engine.
+// sampled jobs, one per LLC. The cache key includes the timeline config,
+// so each sampled job is a design point of its own: a prior sweep's
+// timeline-less result of the same machine never answers it, and a
+// repeated study with the same point budget rides the cache.
 func Timeline(ctx context.Context, cfg Config, opts TimelineOptions) (*TimelineStudy, error) {
 	if opts.Workload == "" {
 		opts.Workload = "is"

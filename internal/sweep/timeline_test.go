@@ -105,9 +105,8 @@ func TestTimelineUnknownInputs(t *testing.T) {
 }
 
 // TestTimelineSharesEngineCache replays the study on an engine that
-// already answered the same design points unsampled: the cache upgrade
-// must transparently re-simulate, and a second study then rides the
-// enriched cache.
+// already answered the same design points unsampled: the sampled jobs
+// key apart and simulate, and a second study then rides the cache.
 func TestTimelineSharesEngineCache(t *testing.T) {
 	cfg := timelineTestCfg()
 	eng := cfg.engineOrNew()
@@ -117,13 +116,17 @@ func TestTimelineSharesEngineCache(t *testing.T) {
 	if _, err := Degradation(context.Background(), cfg, DegradationOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	primed := eng.Stats().Simulated
 	study, err := Timeline(context.Background(), cfg, TimelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := eng.Stats().Simulated - primed; got != uint64(len(study.Designs)) {
+		t.Errorf("study simulated %d jobs, want one per design (%d)", got, len(study.Designs))
+	}
 	for _, d := range study.Designs {
 		if d.Timeline == nil {
-			t.Fatalf("%s: cached unsampled result served without upgrade", d.LLC)
+			t.Fatalf("%s: cached unsampled result answered a sampled job", d.LLC)
 		}
 	}
 	before := eng.Stats().Simulated
@@ -132,7 +135,7 @@ func TestTimelineSharesEngineCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Simulated; got != before {
-		t.Errorf("second study simulated %d more jobs; upgraded entries should hit", got-before)
+		t.Errorf("second study simulated %d more jobs; the first study's entries should hit", got-before)
 	}
 	for i, d := range again.Designs {
 		if d.Timeline.Sum(system.TimelineLLCWrites) != study.Designs[i].Timeline.Sum(system.TimelineLLCWrites) {

@@ -98,11 +98,11 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Timeline, when non-nil, samples the run at fixed instruction
 	// epochs and surfaces the per-epoch series as Result.Timeline (plus
-	// a per-set wear/access heatmap when TrackWear is on). Observation
-	// only — it never alters simulation behavior and is excluded from
-	// the engine's result-cache key — but unlike Telemetry it enriches
-	// the Result, so the engine re-simulates cached timeline-less
-	// results for jobs that ask for one.
+	// a per-set wear/access heatmap when TrackWear is on). It never
+	// alters simulation behavior, but unlike Telemetry it enriches the
+	// Result, so the engine's result-cache key includes it: a job with a
+	// timeline is a design point of its own, apart from the same job
+	// without one.
 	Timeline *TimelineConfig
 }
 

@@ -23,11 +23,11 @@ import (
 const DefaultTimelinePoints = 256
 
 // TimelineConfig enables time-resolved sampling of a run. Like
-// Config.Telemetry it is observation-only — sampling never alters
-// simulation behavior, and the engine's cache key excludes it — but
-// unlike a registry it adds data to the Result (Timeline, WearHeatmap),
-// so the engine re-simulates a cached timeline-less result when a job
-// asks for one.
+// Config.Telemetry it never alters simulation behavior, but unlike a
+// registry it adds data to the Result (Timeline, WearHeatmap), so the
+// engine's cache key includes it with the point budget resolved: a job
+// with a timeline is its own design point, and {} and
+// {Points: DefaultTimelinePoints} are the same one.
 type TimelineConfig struct {
 	// EpochInstructions is the epoch length in retired instructions.
 	// Zero derives trace_instructions/Points, so any run fills the point

@@ -82,7 +82,6 @@ type ManifestEvent struct {
 // graph).
 type ManifestEngine struct {
 	Simulated   uint64 `json:"simulated"`
-	Upgraded    uint64 `json:"upgraded,omitempty"`
 	Cached      uint64 `json:"cached"`
 	Failed      uint64 `json:"failed,omitempty"`
 	TraceGens   uint64 `json:"trace_gens,omitempty"`
