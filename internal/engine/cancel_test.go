@@ -5,9 +5,12 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nvmllc/internal/system"
+	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -89,5 +92,63 @@ func TestRunAllCancellationMidSubmission(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+3 {
 		t.Errorf("goroutines grew from %d to %d after RunAll cancellation", before, after)
+	}
+}
+
+// TestRunWaiterSurvivesOtherCallersCancellation: a Run with a live
+// context that joins another Run's in-flight simulation of the same
+// design point gets the result, even when the simulating Run's context
+// is cancelled mid-flight. The first Run's trace source blocks until
+// the second has joined, then the first context is cancelled, so the
+// simulation it started fails on that cancellation.
+func TestRunWaiterSurvivesOtherCallersCancellation(t *testing.T) {
+	e := New(WithParallelism(2))
+	j := testJob(t, "bzip2", smallOpts())
+	gen := j.Source
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	j.Source = func() (trace.ChunkSource, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return gen()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := e.Run(ctx, j)
+		firstErr <- err
+	}()
+	<-started
+	type outcome struct {
+		res *system.Result
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		res, err := e.Run(context.Background(), j)
+		second <- outcome{res, err}
+	}()
+	awaitMemoWaiter(t)
+	cancel()
+	close(release)
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run: err %v, want context.Canceled", err)
+	}
+	got := <-second
+	if got.err != nil || got.res == nil {
+		t.Fatalf("live Run that joined the cancelled simulation: result %v, err %v; want a result", got.res != nil, got.err)
+	}
+	want, err := New().Run(context.Background(), testJob(t, "bzip2", smallOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.res.TimeNS != want.TimeNS || got.res.LLC != want.LLC {
+		t.Errorf("joined Run's result differs from a fresh engine's: %g ns vs %g ns", got.res.TimeNS, want.TimeNS)
+	}
+	if st := e.Stats(); st.Simulated != 1 || st.Failed != 1 {
+		t.Errorf("stats %+v: want the cancelled pass failed and the waiter's own simulated", st)
 	}
 }

@@ -257,6 +257,12 @@ type Engine struct {
 	// allocation-free; a run beyond Workers() concurrent ones borrows a
 	// transient Scratch.
 	scratch chan *system.Scratch
+	// featScratch recycles PRISM profiler tables across the feature jobs
+	// of a batch. Unlike the simulator's scratch it is a sync.Pool, so
+	// the garbage collector reclaims the tables once characterization
+	// stops instead of keeping them live through the simulations that
+	// follow.
+	featScratch sync.Pool
 
 	simulated   atomic.Uint64
 	cached      atomic.Uint64
@@ -648,7 +654,7 @@ func joinJobErrors(errs []error, label func(i int) string) error {
 	for i, err := range errs {
 		switch {
 		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case isContextErr(err):
 			if !ctxSeen {
 				out = append(out, err)
 				ctxSeen = true

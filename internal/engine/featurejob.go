@@ -119,7 +119,8 @@ func (e *Engine) measureFeatures(ctx context.Context, fj FeatureJob) (prism.Feat
 
 // featureSource obtains the job's stream — share-layer slice or the
 // job's own source — and streams it through a prism.Profiler, checking
-// ctx between chunks.
+// ctx between chunks. The profiler's tables come from the engine's
+// feature scratch pool, viewed at the trace's length.
 func (e *Engine) featureSource(ctx context.Context, fj FeatureJob) (prism.Features, error) {
 	if fj.Source == nil {
 		return prism.Features{}, fmt.Errorf("engine: feature job %s has no trace source", fj.Workload)
@@ -133,7 +134,12 @@ func (e *Engine) featureSource(ctx context.Context, fj FeatureJob) (prism.Featur
 		return prism.Features{}, err
 	}
 	defer release()
-	p := prism.NewProfiler(fj.Config)
+	sc, _ := e.featScratch.Get().(*prism.Scratch)
+	if sc == nil {
+		sc = new(prism.Scratch)
+	}
+	defer e.featScratch.Put(sc)
+	p := prism.NewProfilerIn(fj.Config, src.Meta().Accesses, sc)
 	buf := make([]trace.Access, featureChunk)
 	for {
 		if err := ctx.Err(); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -26,20 +27,33 @@ type memoEntry[V any] struct {
 // do returns key's value, running compute when no call for key has
 // settled or is in flight. hit reports that the value came from another
 // call's computation. A cancelled ctx ends a wait with ctx.Err(); it
-// never stops a computation in flight.
+// never stops a computation in flight. A computation that failed on its
+// own caller's cancellation or deadline is not the waiters' failure:
+// a waiter whose ctx is still live claims the key again (settle has
+// dropped the failed slot), computing it or joining whoever did.
 func (m *memo[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (val V, hit bool, err error) {
-	ent, claimed := m.claim(key)
-	if !claimed {
+	for {
+		ent, claimed := m.claim(key)
+		if claimed {
+			val, err = compute()
+			m.settle(key, ent, val, err)
+			return val, false, err
+		}
 		select {
 		case <-ent.done:
+			if isContextErr(ent.err) && ctx.Err() == nil {
+				continue
+			}
 			return ent.val, ent.err == nil, ent.err
 		case <-ctx.Done():
 			return val, false, ctx.Err()
 		}
 	}
-	val, err = compute()
-	m.settle(key, ent, val, err)
-	return val, false, err
+}
+
+// isContextErr reports whether err is a cancellation or deadline.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // claim returns key's slot and whether this call created it. The

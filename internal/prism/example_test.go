@@ -24,12 +24,3 @@ func ExampleCharacterize() {
 	// Output:
 	// reads=2 writes=1 unique reads=1 H_rg=0.0
 }
-
-// ExampleEntropy shows equation (9) on a uniform distribution: four
-// equally likely addresses carry log2(4) = 2 bits.
-func ExampleEntropy() {
-	counts := map[uint64]uint64{0: 5, 64: 5, 128: 5, 192: 5}
-	fmt.Printf("%.1f bits\n", prism.Entropy(counts))
-	// Output:
-	// 2.0 bits
-}

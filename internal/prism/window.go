@@ -3,6 +3,7 @@ package prism
 import (
 	"fmt"
 
+	"nvmllc/internal/linetab"
 	"nvmllc/internal/trace"
 )
 
@@ -32,6 +33,11 @@ func WindowProfile(t *trace.Trace, windowSize int) ([]WindowFeatures, error) {
 		return nil, fmt.Errorf("prism: window size %d must be positive", windowSize)
 	}
 	var out []WindowFeatures
+	// One address table and one line table serve every window, each
+	// emptied to the window's size, and one buffer sorts each window's
+	// counts.
+	var counts, lines linetab.Table
+	var sorted []uint64
 	for start := 0; start < len(t.Accesses); start += windowSize {
 		end := start + windowSize
 		if end > len(t.Accesses) {
@@ -40,24 +46,27 @@ func WindowProfile(t *trace.Trace, windowSize int) ([]WindowFeatures, error) {
 		if end-start < windowSize/4 && start > 0 {
 			break
 		}
-		counts := make(map[uint64]uint64)
-		lines := make(map[uint64]struct{})
+		counts.Reset(end - start)
+		lines.Reset(end - start)
+		var data uint64
 		writes := 0
 		for _, a := range t.Accesses[start:end] {
 			if a.Kind == trace.Ifetch {
 				continue
 			}
-			counts[a.Addr]++
-			lines[a.Addr>>6] = struct{}{}
+			counts.Add(a.Addr, 1)
+			lines.FetchOr(a.Addr>>6, 1)
+			data++
 			if a.Kind == trace.Write {
 				writes++
 			}
 		}
+		sorted = sortedCounts(&counts, sorted)
 		n := end - start
 		out = append(out, WindowFeatures{
 			StartAccess:   start,
-			UniqueLines:   uint64(len(lines)),
-			GlobalEntropy: Entropy(counts),
+			UniqueLines:   uint64(lines.Len()),
+			GlobalEntropy: entropy(sorted, data),
 			WriteFrac:     float64(writes) / float64(n),
 		})
 	}

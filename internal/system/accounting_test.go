@@ -61,7 +61,7 @@ func TestHybridInterventionChargesLatency(t *testing.T) {
 	line := uint64(0x10040) >> sim.blockBits
 	// Core 0 holds the line dirty in its L1D.
 	sim.cores[0].l1d.Access(line, true)
-	sim.dir.sharers.fetchOr(line, 1<<0)
+	sim.dir.sharers.FetchOr(line, 1<<0)
 
 	reader := sim.cores[1]
 	before := reader.core.TimeNS()

@@ -9,6 +9,8 @@ package system
 // whether the line saw any reuse during its last LLC residency; lines that
 // died without reuse are bypassed on their next fill or writeback.
 
+import "nvmllc/internal/linetab"
+
 // BypassPolicy selects the LLC write-bypass behavior.
 type BypassPolicy int
 
@@ -44,15 +46,15 @@ type deadBlockPredictor struct {
 	deadLast []bool
 	// seen marks table entries with at least one completed residency.
 	seen []bool
-	// hitThisResidency marks currently resident lines that have hit.
-	hitThisResidency map[uint64]bool
+	// hitThisResidency holds 1 for each resident line that has hit
+	// (absent: no hit yet this residency).
+	hitThisResidency linetab.Table
 }
 
 func newDeadBlockPredictor() *deadBlockPredictor {
 	return &deadBlockPredictor{
-		deadLast:         make([]bool, 1<<bypassTableBits),
-		seen:             make([]bool, 1<<bypassTableBits),
-		hitThisResidency: make(map[uint64]bool),
+		deadLast: make([]bool, 1<<bypassTableBits),
+		seen:     make([]bool, 1<<bypassTableBits),
 	}
 }
 
@@ -71,18 +73,17 @@ func (d *deadBlockPredictor) predictDead(line uint64) bool {
 
 // onHit records reuse for a resident line.
 func (d *deadBlockPredictor) onHit(line uint64) {
-	d.hitThisResidency[line] = true
+	d.hitThisResidency.Swap(line, 1)
 }
 
 // onFill starts a residency.
 func (d *deadBlockPredictor) onFill(line uint64) {
-	delete(d.hitThisResidency, line)
+	d.hitThisResidency.Delete(line)
 }
 
 // onEvict closes a residency and trains the table.
 func (d *deadBlockPredictor) onEvict(line uint64) {
 	s := d.slot(line)
 	d.seen[s] = true
-	d.deadLast[s] = !d.hitThisResidency[line]
-	delete(d.hitThisResidency, line)
+	d.deadLast[s] = d.hitThisResidency.Delete(line) == 0
 }

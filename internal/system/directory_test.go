@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvmllc/internal/cache"
+	"nvmllc/internal/linetab"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/trace"
 )
@@ -153,82 +154,32 @@ func TestInclusionBackInvalidation(t *testing.T) {
 	}
 }
 
+// TestDirectoryUnitOps: the directory's sharer operations through its
+// table, on a fresh view. A store's Swap takes exclusive ownership, an
+// eviction clears one core's bit, and the last eviction reclaims the
+// line's entry. The table's own contract is pinned in internal/linetab.
 func TestDirectoryUnitOps(t *testing.T) {
-	d := newDirectoryWith(sharerTable{}, 16)
-	if old := d.sharers.fetchOr(7, 1<<0); old != 0 {
-		t.Errorf("first fetchOr returned %b, want 0", old)
+	d := newDirectoryWith(linetab.Table{}, 16)
+	if old := d.sharers.FetchOr(7, 1<<0); old != 0 {
+		t.Errorf("first FetchOr returned %b, want 0", old)
 	}
-	if old := d.sharers.fetchOr(7, 1<<2); old != 1<<0 {
-		t.Errorf("second fetchOr returned %b, want %b", old, 1<<0)
+	if old := d.sharers.FetchOr(7, 1<<2); old != 1<<0 {
+		t.Errorf("second FetchOr returned %b, want %b", old, 1<<0)
 	}
 	d.noteEvict(7, 2)
-	if got := d.sharers.get(7); got != 1<<0 {
+	if got := d.sharers.Get(7); got != 1<<0 {
 		t.Errorf("after evicting core 2, mask = %b, want %b", got, 1<<0)
 	}
-	d.sharers.fetchOr(7, 1<<3)
-	if old := d.sharers.swap(7, 1<<1); old != 1<<0|1<<3 {
-		t.Errorf("swap returned %b, want %b", old, 1<<0|1<<3)
+	d.sharers.FetchOr(7, 1<<3)
+	if old := d.sharers.Swap(7, 1<<1); old != 1<<0|1<<3 {
+		t.Errorf("Swap returned %b, want %b", old, 1<<0|1<<3)
 	}
-	if got := d.sharers.get(7); got != 1<<1 {
-		t.Errorf("after swap, mask = %b, want %b", got, 1<<1)
+	if got := d.sharers.Get(7); got != 1<<1 {
+		t.Errorf("after Swap, mask = %b, want %b", got, 1<<1)
 	}
 	d.noteEvict(7, 1)
-	if d.sharers.used != 0 {
+	if d.sharers.Len() != 0 {
 		t.Error("empty entry not reclaimed")
-	}
-}
-
-// TestSharerTableMatchesMap cross-checks the open-addressed sharer table
-// against a plain map under a long random op sequence: set bits, swap
-// masks, clear bits (including on absent lines, a no-op), and lookups.
-// Keys are drawn from a small range so probe chains collide, grow
-// triggers, and the backward-shift deletion gets exercised across
-// wrapped chains.
-func TestSharerTableMatchesMap(t *testing.T) {
-	var tab sharerTable
-	tab.init(8) // tiny, so growth and collisions happen immediately
-	ref := map[uint64]uint64{}
-	rng := uint64(0x2545F4914F6CDD1D)
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
-	for op := 0; op < 200000; op++ {
-		line := next(512)
-		bit := uint64(1) << next(64)
-		switch next(4) {
-		case 0:
-			if got, want := tab.fetchOr(line, bit), ref[line]; got != want {
-				t.Fatalf("op %d: fetchOr(%d) returned %b, want %b", op, line, got, want)
-			}
-			ref[line] |= bit
-		case 3:
-			if got, want := tab.swap(line, bit), ref[line]; got != want {
-				t.Fatalf("op %d: swap(%d) returned %b, want %b", op, line, got, want)
-			}
-			ref[line] = bit
-		case 1:
-			tab.clearBit(line, bit)
-			if m := ref[line] &^ bit; m == 0 {
-				delete(ref, line)
-			} else {
-				ref[line] = m
-			}
-		case 2:
-			if got, want := tab.get(line), ref[line]; got != want {
-				t.Fatalf("op %d: get(%d) = %b, want %b", op, line, got, want)
-			}
-		}
-	}
-	if tab.used != len(ref) {
-		t.Fatalf("table tracks %d lines, map %d", tab.used, len(ref))
-	}
-	for line, want := range ref {
-		if got := tab.get(line); got != want {
-			t.Fatalf("final: get(%d) = %b, want %b", line, got, want)
-		}
 	}
 }
 
@@ -266,7 +217,7 @@ func TestSkippedDowngradesFindNoDirtyCopy(t *testing.T) {
 			case trace.Read:
 				if !cs.l1d.Probe(line) {
 					misses++
-					if _, ok := soleRemote(sim.dir.sharers.get(line), cs.idx); !ok {
+					if _, ok := soleRemote(sim.dir.sharers.Get(line), cs.idx); !ok {
 						skipped++
 						for c, other := range sim.cores {
 							if c == cs.idx {

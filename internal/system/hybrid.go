@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"nvmllc/internal/cache"
+	"nvmllc/internal/linetab"
 	"nvmllc/internal/nvsim"
 )
 
@@ -64,11 +65,12 @@ type HybridStats struct {
 }
 
 // hybridLLC is the runtime engine: two per-set partitions with the same
-// set count sharing one line-address space.
+// set count sharing one line-address space. writeHeat counts each
+// NVM-resident line's write hits toward migration (absent: none).
 type hybridLLC struct {
 	cfg        *HybridConfig
 	sram, nvm  *cache.Cache
-	writeHeat  map[uint64]int
+	writeHeat  linetab.Table
 	stats      HybridStats
 	dynamicNJ  float64
 	totalWays  int
@@ -115,7 +117,6 @@ func newHybridLLC(h *HybridConfig, blockBytes, totalWays int) (*hybridLLC, error
 	}
 	return &hybridLLC{
 		cfg: h, sram: sram, nvm: nvm,
-		writeHeat: make(map[uint64]int),
 		totalWays: totalWays, threshold: h.threshold(),
 		sets:       int(sets),
 		capacityBy: sets * int64(totalWays) * int64(blockBytes),
@@ -161,7 +162,7 @@ func (hl *hybridLLC) fill(line uint64, forStore bool) (dramWbs []uint64) {
 	hl.stats.NVMWrites++
 	hl.dynamicNJ += hl.cfg.NVM.WriteEnergyNJ
 	if ev := hl.nvm.Install(line, false); ev.Valid {
-		delete(hl.writeHeat, ev.LineAddr)
+		hl.writeHeat.Delete(ev.LineAddr)
 		if ev.Dirty {
 			dramWbs = append(dramWbs, ev.LineAddr)
 		}
@@ -181,10 +182,9 @@ func (hl *hybridLLC) writeback(line uint64) (dramWbs []uint64) {
 		return nil
 	}
 	if hl.nvm.Probe(line) {
-		hl.writeHeat[line]++
-		if hl.writeHeat[line] >= hl.threshold {
+		if hl.writeHeat.Add(line, 1) >= uint64(hl.threshold) {
 			// Promote the write-hot line: NVM read + SRAM install.
-			delete(hl.writeHeat, line)
+			hl.writeHeat.Delete(line)
 			hl.nvm.Invalidate(line)
 			hl.stats.Migrations++
 			hl.dynamicNJ += hl.cfg.NVM.HitEnergyNJ // migration read
@@ -213,7 +213,7 @@ func (hl *hybridLLC) installSRAM(line uint64, dirty bool) (dramWbs []uint64) {
 	hl.dynamicNJ += hl.cfg.NVM.WriteEnergyNJ
 	ev2 := hl.nvm.Install(ev.LineAddr, ev.Dirty)
 	if ev2.Valid {
-		delete(hl.writeHeat, ev2.LineAddr)
+		hl.writeHeat.Delete(ev2.LineAddr)
 		if ev2.Dirty {
 			dramWbs = append(dramWbs, ev2.LineAddr)
 		}

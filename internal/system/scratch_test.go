@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"nvmllc/internal/cache"
+	"nvmllc/internal/linetab"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
@@ -21,7 +22,7 @@ import (
 
 // dirSlots is the directory view newDirectoryWith takes for lines.
 func dirSlots(lines int) int {
-	return len(newDirectoryWith(sharerTable{}, lines).sharers.entries)
+	return newDirectoryWith(linetab.Table{}, lines).sharers.Slots()
 }
 
 // TestNewSimulatorAllocatesExactNeed: building the Zhang_R fixed-area
@@ -79,7 +80,7 @@ func TestDirectoryBoundedByAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2Lines := int(sramConfig().L2Bytes) / sramConfig().BlockBytes
-	got, want, full := len(sc.sharers.entries), dirSlots(n), dirSlots(threads*l2Lines)
+	got, want, full := sc.sharers.Slots(), dirSlots(n), dirSlots(threads*l2Lines)
 	if got != want {
 		t.Errorf("32-thread directory view = %d slots after a %d-access run, want %d", got, n, want)
 	}
@@ -89,9 +90,10 @@ func TestDirectoryBoundedByAccesses(t *testing.T) {
 }
 
 // TestScratchSmallRunAfterLarge: after a 16-core run, a 2-core run on the
-// same Scratch takes a directory view sized for its own two L2s — the
-// storage past it keeps the large run's entries, so it was neither
-// cleared nor probed — and still reproduces a fresh Scratch's result.
+// same Scratch takes a directory view sized for its own two L2s, on the
+// large run's storage rather than a fresh allocation, and still
+// reproduces a fresh Scratch's result. That a view clears and probes
+// none of the storage past it is linetab's TestResetViewsOnlyItsSlots.
 func TestScratchSmallRunAfterLarge(t *testing.T) {
 	ctx := context.Background()
 	p, err := workload.ByName("ft")
@@ -116,35 +118,26 @@ func TestScratchSmallRunAfterLarge(t *testing.T) {
 	}
 	sc := new(Scratch)
 	run(sc, 16)
-	large := sc.sharers.entries
+	large, largeCap := sc.sharers.Slots(), sc.sharers.Cap()
 	l2Lines := int(sramConfig().L2Bytes) / sramConfig().BlockBytes
 	meta16, err := workload.NewGenerator(p, workload.Options{Accesses: 40000, Threads: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := dirSlots(min(16*l2Lines, int(meta16.Meta().Accesses))); len(large) != want {
-		t.Fatalf("16-core directory view = %d slots, want %d", len(large), want)
+	if want := dirSlots(min(16*l2Lines, int(meta16.Meta().Accesses))); large != want {
+		t.Fatalf("16-core directory view = %d slots, want %d", large, want)
 	}
 
 	sim, err := newSimulator([]Config{sramConfig().WithCores(2)}, trace.Meta{Threads: 2, Accesses: 40000}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := sim.dir.sharers.entries
-	if want := dirSlots(2 * l2Lines); len(view) != want || want >= len(large) {
-		t.Fatalf("2-core directory view = %d slots, want %d (below the 16-core %d)", len(view), want, len(large))
+	view := sim.dir.sharers.Slots()
+	if want := dirSlots(2 * l2Lines); view != want || want >= large {
+		t.Fatalf("2-core directory view = %d slots, want %d (below the 16-core %d)", view, want, large)
 	}
-	if &view[0] != &large[0] {
+	if sim.dir.sharers.Cap() != largeCap {
 		t.Fatal("the 2-core run reallocated the directory instead of viewing the recycled table")
-	}
-	stale := 0
-	for _, e := range large[len(view):] {
-		if e.mask != 0 {
-			stale++
-		}
-	}
-	if stale == 0 {
-		t.Error("no large-run entry survives past the small view: the small run cleared the whole table")
 	}
 	sim.releaseScratch(sc)
 

@@ -21,6 +21,7 @@ import (
 	"nvmllc/internal/cpu"
 	"nvmllc/internal/dram"
 	"nvmllc/internal/fault"
+	"nvmllc/internal/linetab"
 	"nvmllc/internal/nvsim"
 	"nvmllc/internal/profile"
 	"nvmllc/internal/telemetry"
@@ -400,7 +401,7 @@ type simulator struct {
 type Scratch struct {
 	// sharers recycles the coherence directory's hash-table storage, so
 	// repeated multi-threaded runs skip the grow-and-rehash ramp.
-	sharers sharerTable
+	sharers linetab.Table
 	// arena recycles every cache level's tag-store storage (several MB
 	// per 64-core run when allocated fresh).
 	arena cache.Arena
@@ -411,11 +412,11 @@ type Scratch struct {
 	slots  []*ringSlot
 	spills []*ringSlot
 	segq   [][]*ringSlot
-	// wearLines and wearSets recycle the WearTracker's per-line map and
+	// wearLines and wearSets recycle the WearTracker's per-line table and
 	// per-set slice; setAccs recycles the timeline sampler's per-set
 	// access counters. All are handed to the run at construction and
 	// returned by releaseScratch.
-	wearLines map[uint64]uint64
+	wearLines linetab.Table
 	wearSets  []uint64
 	setAccs   []uint64
 	// faults recycles the fault injector: construction draws and sorts
@@ -500,7 +501,7 @@ func newSimulator(cfgs []Config, meta trace.Meta, scratch *Scratch) (*simulator,
 		}
 	}
 	if cfg.TrackWear {
-		sim.wear = newWearTracker(llc.Sets(), cfg.LLCWays, scratch)
+		sim.wear = newWearTracker(llc.Sets(), cfg.LLCWays, meta.Accesses, scratch)
 	}
 	if cfg.Timeline != nil && sim.wear != nil {
 		// Per-set access counts feed the wear heatmap's second column;
@@ -564,7 +565,7 @@ func newSimulator(cfgs []Config, meta trace.Meta, scratch *Scratch) (*simulator,
 		// has accesses.
 		lines := min(int64(threads)*(cfg.L2Bytes/int64(max(cfg.BlockBytes, 1))), meta.Accesses)
 		sim.dir = newDirectoryWith(scratch.sharers, int(lines))
-		scratch.sharers = sharerTable{}
+		scratch.sharers = linetab.Table{}
 	}
 	for t := 0; t < threads; t++ {
 		l1i, err := cache.NewIn(arena, l1iCfg)
@@ -614,7 +615,7 @@ func (s *simulator) spreadBudgets(instrCount uint64, perThread []int64) {
 }
 
 // releaseScratch returns the simulator's recycled storage — directory
-// tables, wear-tracker map/slice, per-set access counters — to the
+// and wear-tracker tables, per-set write and access counters — to the
 // scratch for the next run.
 func (s *simulator) releaseScratch(scratch *Scratch) {
 	if s.dir != nil {
@@ -758,7 +759,7 @@ func (s *simulator) store(cs *coreState, line uint64, l1b, l2b, llcb int32) {
 // through the LLC, with the reader paying an intervention latency that
 // advances its clock.
 func (s *simulator) downgradeOthers(cs *coreState, line uint64) {
-	c, ok := soleRemote(s.dir.sharers.fetchOr(line, 1<<uint(cs.idx)), cs.idx)
+	c, ok := soleRemote(s.dir.sharers.FetchOr(line, 1<<uint(cs.idx)), cs.idx)
 	if !ok {
 		return
 	}

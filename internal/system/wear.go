@@ -3,6 +3,8 @@ package system
 import (
 	"math"
 	"sort"
+
+	"nvmllc/internal/linetab"
 )
 
 // Write-endurance accounting. The paper's Table I lists write endurance as
@@ -14,9 +16,10 @@ import (
 // estimates with and without ideal intra-set wear leveling (the
 // WriteSmoothing-style technique the paper cites as [20]).
 
-// WearTracker accumulates LLC data-array write counts.
+// WearTracker accumulates LLC data-array write counts: per line in a
+// linetab.Table (Record runs on every LLC write), per set in a slice.
 type WearTracker struct {
-	lineWrites map[uint64]uint64
+	lineWrites linetab.Table
 	setWrites  []uint64
 	setMask    uint64
 	ways       int
@@ -25,16 +28,13 @@ type WearTracker struct {
 
 // newWearTracker sizes the tracker for an LLC with the given set count
 // and associativity, taking over the scratch's recycled storage (the
-// per-line map and per-set slice are the dominant per-run allocations
-// of a wear-tracked sweep). releaseScratch hands them back after the
-// run.
-func newWearTracker(sets, ways int, scratch *Scratch) *WearTracker {
+// per-line table and per-set slice are the dominant per-run allocations
+// of a wear-tracked sweep). A trace of n accesses writes at most n
+// distinct lines, which caps the table's view (linetab.Table.Recycle).
+// releaseScratch hands the storage back after the run.
+func newWearTracker(sets, ways int, accesses int64, scratch *Scratch) *WearTracker {
 	lines := scratch.wearLines
-	if lines == nil {
-		lines = make(map[uint64]uint64)
-	} else {
-		clear(lines)
-	}
+	lines.Recycle(accesses)
 	setW := scratch.wearSets
 	if cap(setW) < sets {
 		setW = make([]uint64, sets)
@@ -42,7 +42,7 @@ func newWearTracker(sets, ways int, scratch *Scratch) *WearTracker {
 		setW = setW[:sets]
 		clear(setW)
 	}
-	scratch.wearLines, scratch.wearSets = nil, nil
+	scratch.wearLines, scratch.wearSets = linetab.Table{}, nil
 	return &WearTracker{
 		lineWrites: lines,
 		setWrites:  setW,
@@ -53,7 +53,7 @@ func newWearTracker(sets, ways int, scratch *Scratch) *WearTracker {
 
 // Record notes one data-array write of the given line.
 func (w *WearTracker) Record(line uint64) {
-	w.lineWrites[line]++
+	w.lineWrites.Add(line, 1)
 	w.setWrites[line&w.setMask]++
 	w.total++
 }
@@ -113,15 +113,13 @@ func (s WearStats) ImbalanceFactor() float64 {
 func (w *WearTracker) Stats() WearStats {
 	s := WearStats{
 		TotalWrites:  w.total,
-		LinesTouched: len(w.lineWrites),
+		LinesTouched: w.lineWrites.Len(),
 		Ways:         w.ways,
 		Sets:         len(w.setWrites),
 	}
-	for _, c := range w.lineWrites {
-		if c > s.MaxLineWrites {
-			s.MaxLineWrites = c
-		}
-	}
+	w.lineWrites.Range(func(_, c uint64) {
+		s.MaxLineWrites = max(s.MaxLineWrites, c)
+	})
 	for _, c := range w.setWrites {
 		if c > s.MaxSetWrites {
 			s.MaxSetWrites = c

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestWearStatsIncludeDispersion(t *testing.T) {
 }
 
 // TestWearScratchRecycled pins the satellite: back-to-back wear-tracked
-// runs through one Scratch reuse the tracker's line map and per-set
+// runs through one Scratch reuse the tracker's line table and per-set
 // slice instead of reallocating them, without perturbing results.
 func TestWearScratchRecycled(t *testing.T) {
 	tr := streamTrace("recycle", 20000, 60000, 2, 2)
@@ -146,22 +147,74 @@ func TestWearScratchRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scratch.wearLines == nil || scratch.wearSets == nil {
+	if scratch.wearLines.Cap() == 0 || scratch.wearSets == nil {
 		t.Fatal("scratch did not retain wear storage after the run")
 	}
-	retained := reflect.ValueOf(scratch.wearLines).Pointer()
+	retained := scratch.wearLines.Cap()
 	second, err := runWith(context.Background(), cfg, tr, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scratch.wearLines == nil {
-		t.Fatal("scratch lost wear storage on the second run")
+	if scratch.wearLines.Cap() != retained {
+		t.Errorf("second run left %d table slots, the first %d: it reallocated instead of recycling", scratch.wearLines.Cap(), retained)
 	}
-	if reflect.ValueOf(scratch.wearLines).Pointer() != retained {
-		t.Error("second run allocated a fresh line map instead of recycling the scratch's")
+	// Taking over warm storage allocates the tracker itself and nothing
+	// else.
+	sets, n := len(scratch.wearSets[:cap(scratch.wearSets)]), int64(len(tr.Accesses))
+	if allocs := testing.AllocsPerRun(10, func() {
+		w := newWearTracker(sets, 16, n, &scratch)
+		scratch.wearLines, scratch.wearSets = w.lineWrites, w.setWrites[:0]
+	}); allocs > 1 {
+		t.Errorf("a tracker on recycled storage allocates %v times, want 1", allocs)
 	}
-	if first.Wear.TotalWrites != second.Wear.TotalWrites ||
-		first.Wear.MaxLineWrites != second.Wear.MaxLineWrites {
+	if !reflect.DeepEqual(first.Wear, second.Wear) {
 		t.Errorf("recycled run diverged: %+v vs %+v", first.Wear, second.Wear)
+	}
+}
+
+// TestWearStatsMatchMapOracle records random line writes into trackers
+// that share one Scratch, each run with its own geometry and access
+// bound, and checks every WearStats field against a Go-map oracle of
+// the same writes. Runs alternate large and small, so a tracker that
+// kept a line from an earlier run, or lost one when its table grew past
+// the recycled storage, shows as a wrong count.
+func TestWearStatsMatchMapOracle(t *testing.T) {
+	var scratch Scratch
+	rng := rand.New(rand.NewSource(11))
+	for run, shape := range []struct {
+		sets, ways, lines, writes int
+	}{
+		{2048, 16, 50000, 200000}, // grows well past the recycle floor
+		{64, 4, 300, 5000},
+		{1024, 8, 20000, 60000},
+		{16, 2, 1, 10},
+		{4096, 16, 80000, 100000},
+	} {
+		w := newWearTracker(shape.sets, shape.ways, int64(shape.writes), &scratch)
+		lineRef := map[uint64]uint64{}
+		setRef := make([]uint64, shape.sets)
+		for i := 0; i < shape.writes; i++ {
+			line := uint64(rng.Intn(shape.lines)) * 0x10001 // spread keys over sets and tags
+			w.Record(line)
+			lineRef[line]++
+			setRef[line&uint64(shape.sets-1)]++
+		}
+		want := WearStats{
+			TotalWrites:  uint64(shape.writes),
+			LinesTouched: len(lineRef),
+			Ways:         shape.ways,
+			Sets:         shape.sets,
+		}
+		for _, c := range lineRef {
+			want.MaxLineWrites = max(want.MaxLineWrites, c)
+		}
+		for _, c := range setRef {
+			want.MaxSetWrites = max(want.MaxSetWrites, c)
+		}
+		want.SetWriteCoV, want.SetWriteGini = setDispersion(setRef)
+		if got := w.Stats(); got != want {
+			t.Errorf("run %d: stats %+v, map oracle %+v", run, got, want)
+		}
+		scratch.wearLines, scratch.wearSets = w.lineWrites, w.setWrites[:0]
 	}
 }

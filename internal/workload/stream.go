@@ -64,13 +64,16 @@ func NewGenerator(p Profile, opts Options) (*Generator, error) {
 	g.states = make([]generatorState, threads)
 	zipfsFlat := make([]*rand.Zipf, threads*nc)
 	cursorsFlat := make([]int64, threads*nc)
+	basesFlat := make([]uint64, threads*nc)
 	for t := 0; t < threads; t++ {
 		rng := rand.New(rand.NewSource(g.threadSeed(t)))
 		st := &g.states[t]
 		st.rng = rng
 		st.zipfs = zipfsFlat[t*nc : (t+1)*nc]
 		st.cursors = cursorsFlat[t*nc : (t+1)*nc]
+		st.bases = basesFlat[t*nc : (t+1)*nc]
 		for i, c := range p.Components {
+			st.bases[i] = componentBase(p.Name, i, t, c.Shared)
 			if c.Kind == Hot {
 				s := c.ZipfS
 				if s == 0 {
@@ -168,7 +171,7 @@ func (g *Generator) ReadChunk(buf []trace.Access) (int, error) {
 		case Random:
 			line = st.rng.Int63n(c.Lines)
 		}
-		addr := componentBase(g.prof.Name, ci, t, c.Shared) + uint64(line)*lineBytes
+		addr := st.bases[ci] + uint64(line)*lineBytes
 		kind := trace.Read
 		if st.rng.Float64() < c.WriteFrac {
 			kind = trace.Write

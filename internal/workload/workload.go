@@ -189,14 +189,17 @@ const (
 	lineBytes      = 64
 )
 
-// generatorState holds one thread's per-component cursors and RNG. The
-// zipfs and cursors slices are windows into flat threads×components
-// arrays shared by all states, so per-thread setup costs two allocations
-// (the RNG and its Zipf samplers) instead of four.
+// generatorState holds one thread's per-component cursors, region bases
+// and RNG. The zipfs, cursors and bases slices are windows into flat
+// threads×components arrays shared by all states, so per-thread setup
+// costs two allocations (the RNG and its Zipf samplers) instead of five.
+// The bases are componentBase, computed once in NewGenerator rather
+// than hashing the workload name on every access.
 type generatorState struct {
 	rng     *rand.Rand
 	zipfs   []*rand.Zipf
 	cursors []int64
+	bases   []uint64
 }
 
 // Generate produces the profile's trace: one ReadChunk over an
